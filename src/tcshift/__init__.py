@@ -6,10 +6,9 @@ from .birman_schwinger import (  # noqa: F401
     BsSolver,
     CriticalTemperature,
     PairState,
-    solve_beta_c,
 )
 from .gl import GlCoefficients, a_functionals, compute_lambdas, compute_t, r_of_p  # noqa: F401
-from .kernels import chi, chi_inf, g0, g1, g2, xi  # noqa: F401
+from .kernels import chi, g0, g1, g2, xi  # noqa: F401
 from .model import (  # noqa: F401
     ExternalField,
     InteractionPotential,

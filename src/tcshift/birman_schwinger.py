@@ -27,11 +27,7 @@ __all__ = [
     "CriticalTemperature",
     "PairState",
     "BsSolver",
-    "assemble",
     "top_eigenvalues",
-    "lambda_of_beta",
-    "solve_beta_c",
-    "extract_pair_state",
     "sup_spec_zero_temperature",
 ]
 
@@ -194,10 +190,6 @@ class BsSolver:
         return PairState(phi_star=phi, v_half_phi=v_half), top
 
 
-def assemble(model, beta_or_inf: float, rgrid: RadialGrid, pgrid: MomentumGrid) -> BsOperator:
-    return BsSolver(model, rgrid, pgrid).operator(beta_or_inf)
-
-
 def top_eigenvalues(op: BsOperator, m: int = 2) -> SpectralTop:
     """Top eigenvalues and the leading eigenvector, de-weighted to function samples.
 
@@ -221,30 +213,6 @@ def top_eigenvalues(op: BsOperator, m: int = 2) -> SpectralTop:
         vector1=vector1,
         eigenvalues=top_vals,
     )
-
-
-def lambda_of_beta(model, beta_or_inf: float, rgrid: RadialGrid, pgrid: MomentumGrid) -> float:
-    return BsSolver(model, rgrid, pgrid).lambda_of(beta_or_inf)
-
-
-def solve_beta_c(
-    model,
-    rgrid: RadialGrid,
-    pgrid: MomentumGrid,
-    bracket_hint: tuple = (0.1, 100.0),
-    rel_tol: float = 1e-8,
-) -> CriticalTemperature:
-    return BsSolver(model, rgrid, pgrid).solve_beta_c(bracket_hint, rel_tol)
-
-
-def extract_pair_state(
-    model,
-    tc: CriticalTemperature,
-    rgrid: RadialGrid,
-    pgrid: MomentumGrid,
-    gap_tol: float = 1e-6,
-) -> tuple[PairState, SpectralTop]:
-    return BsSolver(model, rgrid, pgrid).extract_pair_state(tc, gap_tol)
 
 
 def sup_spec_zero_temperature(model, numerics) -> tuple[float, float]:

@@ -28,21 +28,13 @@ from .model import load_config
 from .pipeline import (
     SWEEP_AXES,
     SWEEP_COLUMNS,
+    VERBS,
     Pipeline,
     _write_csv,
     config_digest,
     emit,
     sweep,
 )
-
-VERB_STAGE = {
-    "validate": "validate",
-    "tc": "tc",
-    "gl": "gl",
-    "dc": "dc",
-    "shift": "shift",
-    "verify": "verify",
-}
 
 OUT_ENV = "TCSHIFT_OUT"
 
@@ -53,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Critical temperature and its quadratic field shift for a pairing model",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in (*VERB_STAGE, "sweep"):
+    for verb in (*VERBS, "sweep"):
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", default=None, help="output directory")
@@ -104,6 +96,11 @@ def _print_summary(bundle) -> None:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a value such as "-1,-2" for an unknown flag; bind it to its flag
+    if "--sweep-values" in argv[:-1]:
+        i = argv.index("--sweep-values")
+        argv[i : i + 2] = [f"--sweep-values={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         with open(args.config) as fh:
@@ -132,7 +129,7 @@ def main(argv=None) -> int:
 
         model, numerics = load_config(args.config)
         pipe = Pipeline(model, numerics, cfg)
-        bundle = pipe.bundle(VERB_STAGE[args.verb])
+        bundle = pipe.bundle(args.verb)
         emit(bundle, out_dir, args.format)
         _print_summary(bundle)
         print(f"results in {out_dir}")

@@ -21,7 +21,6 @@ __all__ = [
     "g2_exp_form",
     "g2_tanh_form",
     "chi",
-    "chi_inf",
     "xi",
     "matsubara_tanh",
     "matsubara_xi",
@@ -182,13 +181,6 @@ def chi(beta, E):
     return beta * g0(beta * np.asarray(E, dtype=float))
 
 
-def chi_inf(E):
-    """1/|E| with an infinity sentinel at E=0."""
-    E = np.asarray(E, dtype=float)
-    out = np.where(E == 0.0, np.inf, 1.0 / np.abs(np.where(E == 0.0, 1.0, E)))
-    return out if out.ndim else float(out)
-
-
 def _sinhc(w):
     """sinh(w)/w, 1 at w=0."""
     small = np.abs(w) < SMALL
@@ -218,14 +210,15 @@ def xi(beta, E, Ep):
     s = np.where(near, 1.0, E + Ep)
     naive = (np.tanh(u) + np.tanh(v)) / s
 
+    # the u and v factors are multiplied first so that xi(E, E') == xi(E', E) exactly
     wn = np.where(near & (np.abs(w) <= 30.0), w, 0.0)
-    limit = 0.5 * beta * _sinhc(wn) * _sech(u) * _sech(v)
+    limit = 0.5 * beta * _sinhc(wn) * (_sech(u) * _sech(v))
     # |w| > 30 on the near-diagonal branch: exponentiate non-positive args only
     wb = np.where(near & (np.abs(w) > 30.0), w, 1.0)
     t = np.abs(u) + np.abs(v)
     eu = np.exp(-2.0 * np.abs(u))
     ev = np.exp(-2.0 * np.abs(v))
-    big = beta * (np.exp(wb - t) - np.exp(-wb - t)) / (wb * (1.0 + eu) * (1.0 + ev))
+    big = beta * (np.exp(wb - t) - np.exp(-wb - t)) / (wb * ((1.0 + eu) * (1.0 + ev)))
     limit = np.where(near & (np.abs(w) > 30.0), big, limit)
 
     out = np.where(near, limit, naive)

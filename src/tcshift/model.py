@@ -148,7 +148,7 @@ class ExternalField:
             out = np.where(np.abs(x) <= self.range, self.amplitude, 0.0)
         else:
             t = self.table
-            a = np.abs(x) if self.dimensionality == "radial_3d" else np.abs(x)
+            a = np.abs(x) if self.dimensionality == "radial_3d" else x
             out = np.interp(np.clip(a, t[0, 0], t[-1, 0]), t[:, 0], t[:, 1])
         return out if out.ndim else float(out)
 
@@ -221,11 +221,6 @@ class Numerics:
             mu=model.mu,
             guard=self.resolved_guard(model),
         )
-
-
-def eval_V(model: PhysicalModel, r):
-    """Interaction value V(r) >= 0 for the configured family."""
-    return model.V(r)
 
 
 @dataclass

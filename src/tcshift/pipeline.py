@@ -27,7 +27,6 @@ from .model import (
     ExternalField,
     Numerics,
     PhysicalModel,
-    load_config,
     model_from_dict,
     validate_assumptions,
 )
@@ -37,14 +36,21 @@ __all__ = [
     "Pipeline",
     "ResultBundle",
     "RunManifest",
-    "run_pipeline",
     "sweep",
     "emit",
     "config_digest",
     "SWEEP_AXES",
+    "STAGES",
+    "VERBS",
 ]
 
-SWEEP_AXES = ("h", "mu", "v_amplitude", "w_amplitude")
+# The model field each sweep axis sets, and that field's value at a swept number.
+SWEEP_AXES = {
+    "h": ("h_values", lambda model, v: (v,)),
+    "mu": ("mu", lambda model, v: v),
+    "v_amplitude": ("V", lambda model, v: dataclasses.replace(model.V, amplitude=v)),
+    "w_amplitude": ("W", lambda model, v: dataclasses.replace(model.W, amplitude=v)),
+}
 
 
 def config_digest(cfg: dict) -> str:
@@ -61,12 +67,13 @@ class RunManifest:
     finished_at: str
     grids: dict
     tolerances: dict
-    cache_hits: int = 0
+    cache_hits: int = 0  # stage results this pipeline served from its own cache
 
-    def without_timestamps(self) -> dict:
+    def reproducible(self) -> dict:
+        """The fields identical configurations reproduce: no timestamps, no counters."""
         d = dataclasses.asdict(self)
-        d.pop("started_at")
-        d.pop("finished_at")
+        for key in ("started_at", "finished_at", "cache_hits"):
+            d.pop(key)
         return d
 
 
@@ -85,12 +92,42 @@ class ResultBundle:
         return all(c["passed"] for c in self.checks)
 
 
+# Direct inputs of each stage: the PhysicalModel fields it reads and the
+# stages it uses.  Entries come after every stage they use.  ``validation``
+# is a precondition that ``tc`` checks, not an input, so a new W keeps the
+# coefficients (W enters only the effective operator p^2 + (lambda1/lambda0) W).
+STAGES = {
+    "validation": (("V", "W", "mu"), ()),
+    "grids": (("V", "mu"), ()),
+    "solver": (("V", "mu"), ("grids",)),
+    "tc": ((), ("solver",)),
+    "pair_top": ((), ("solver", "tc")),
+    "t_profile": (("mu",), ("pair_top", "tc", "grids")),
+    "gl": (("mu",), ("t_profile", "tc", "pair_top")),
+    "ground_state": (("W",), ("gl",)),
+    "dc": ((), ("gl", "ground_state")),
+    "shift": (("h_values",), ("gl", "dc")),
+    "checks": (("V", "mu"), ("grids", "tc", "pair_top", "t_profile", "gl")),
+}
+
+# CLI verbs in prefix order: each verb also runs every verb before it.
+VERBS = ("validate", "tc", "gl", "dc", "shift", "verify")
+
+
+def stages_reading(fields) -> set:
+    """Stages that read any of ``fields``, directly or through a stage they use."""
+    fields, reached = set(fields), set()
+    for name, (reads, uses) in STAGES.items():
+        if fields.intersection(reads) or reached.intersection(uses):
+            reached.add(name)
+    return reached
+
+
 class Pipeline:
     """Lazily evaluated pipeline over one model; stages cache their results.
 
-    ``with_field`` and ``with_h_values`` derive cheap variants that reuse
-    every stage not invalidated by the change (the external field enters
-    only downstream of the coefficients; h only in the final table).
+    ``derive`` builds a variant of the model that reuses every cached stage
+    the changed fields do not reach (see ``STAGES``).
     """
 
     def __init__(self, model: PhysicalModel, numerics: Numerics, cfg: dict | None = None):
@@ -108,27 +145,18 @@ class Pipeline:
         self._cache[key] = value
         return value
 
-    def with_field(self, W: ExternalField) -> "Pipeline":
-        clone = Pipeline(
-            dataclasses.replace(self.model, W=W), self.numerics, self.cfg
-        )
-        shared = {
-            k: v
-            for k, v in self._cache.items()
-            if k in ("grids", "solver", "tc", "pair_top", "t_profile", "gl")
-        }
-        clone._cache.update(shared)
-        clone.cache_hits = len(shared)
+    def derive(self, **model_changes) -> "Pipeline":
+        """Pipeline on ``dataclasses.replace(model, **model_changes)`` sharing unaffected stages.
+
+        The replaced model is validated again; numerics and ``cfg`` carry over.
+        """
+        clone = Pipeline(dataclasses.replace(self.model, **model_changes), self.numerics, self.cfg)
+        stale = stages_reading(model_changes)
+        clone._cache.update((k, v) for k, v in self._cache.items() if k not in stale)
         return clone
 
-    def with_h_values(self, h_values) -> "Pipeline":
-        clone = Pipeline(
-            dataclasses.replace(self.model, h_values=tuple(h_values)), self.numerics, self.cfg
-        )
-        shared = {k: v for k, v in self._cache.items() if k != "shift"}
-        clone._cache.update(shared)
-        clone.cache_hits = len(shared)
-        return clone
+    def with_field(self, W: ExternalField) -> "Pipeline":
+        return self.derive(W=W)
 
     # --- stages -------------------------------------------------------------
 
@@ -216,16 +244,15 @@ class Pipeline:
 
     def bundle(self, upto: str = "shift") -> ResultBundle:
         """Run the minimal stage prefix for the requested verb and package it."""
-        order = ("validate", "tc", "gl", "dc", "shift", "verify")
-        if upto not in order:
+        if upto not in VERBS:
             raise ConfigError(f"unknown pipeline stage {upto!r}")
         started = datetime.now(timezone.utc).isoformat()
-        stage = order.index(upto)
+        verbs = VERBS[: VERBS.index(upto) + 1]
 
         validation = self.validation()
         tc_d = gl_d = gs_d = shift_d = None
         checks: list[CheckResult] = []
-        if stage >= 1:
+        if "tc" in verbs:
             tcrit = self.tc()
             tc_d = {
                 "beta_c": tcrit.beta_c,
@@ -233,7 +260,7 @@ class Pipeline:
                 "bracket": list(tcrit.bracket),
                 "tolerance": tcrit.tolerance,
             }
-        if stage >= 2:
+        if "gl" in verbs:
             gl = self.gl()
             gl_d = {
                 "beta_c": gl.beta_c,
@@ -243,7 +270,7 @@ class Pipeline:
                 "lambda2": gl.lambda2,
                 "gap": gl.gap,
             }
-        if stage >= 3:
+        if "dc" in verbs:
             gs = self.ground_state()
             gs_d = {
                 "e0": gs.e0,
@@ -252,7 +279,7 @@ class Pipeline:
                 "essential_bottom": gs.essential_bottom,
                 "D_c": self.dc(),
             }
-        if stage >= 4:
+        if "shift" in verbs:
             rep = self.shift()
             shift_d = {
                 "D_c": rep.D_c,
@@ -260,10 +287,10 @@ class Pipeline:
                 "rows": [[h, t] for h, t in rep.rows],
                 "warnings": list(rep.warnings),
             }
-        if stage >= 5:
+        if "verify" in verbs:
             checks = self.checks()
 
-        rgrid, pgrid = self.grids() if stage >= 1 else (None, None)
+        rgrid, pgrid = self.grids() if "tc" in verbs else (None, None)
         finished = datetime.now(timezone.utc).isoformat()
         manifest = RunManifest(
             config_digest=config_digest(self.cfg),
@@ -297,37 +324,15 @@ class Pipeline:
         )
 
 
-def run_pipeline(config_path, upto: str = "verify") -> ResultBundle:
-    model, numerics = load_config(config_path)
-    with open(config_path) as fh:
-        cfg = json.load(fh)
-    return Pipeline(model, numerics, cfg).bundle(upto)
-
-
-def _sweep_config(cfg: dict, axis: str, value: float) -> dict:
-    new = json.loads(json.dumps(cfg))
-    if axis == "h":
-        new["h_values"] = [value]
-    elif axis == "mu":
-        new["mu"] = value
-    elif axis == "v_amplitude":
-        new["V"]["amplitude"] = value
-    elif axis == "w_amplitude":
-        new["W"]["amplitude"] = value
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}; choose one of {SWEEP_AXES}")
-    return new
-
-
 def sweep(cfg: dict, axis: str, values, threads: int = 1) -> list[dict]:
     """One row per axis value; per-point failures land in the error column.
 
-    beta_c, the pair state and the coefficients are recomputed only when the
-    fields they depend on change: never for h sweeps, never for w_amplitude
-    sweeps, always for mu and v_amplitude sweeps.
+    Every point is ``base.derive`` of the configured model, so a stage is
+    recomputed only when the swept field reaches it in ``STAGES``.
     """
     if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; choose one of {SWEEP_AXES}")
+        raise ConfigError(f"unknown sweep axis {axis!r}; choose one of {tuple(SWEEP_AXES)}")
+    field_name, field_value = SWEEP_AXES[axis]
     values = [float(v) for v in values]
     for v in values:
         if not math.isfinite(v):
@@ -336,21 +341,12 @@ def sweep(cfg: dict, axis: str, values, threads: int = 1) -> list[dict]:
     base_model, base_numerics = model_from_dict(cfg)
     base = Pipeline(base_model, base_numerics, cfg)
 
-    def make_point(value: float) -> Pipeline:
-        point_cfg = _sweep_config(cfg, axis, value)
-        if axis == "h":
-            return base.with_h_values([value])
-        if axis == "w_amplitude":
-            return base.with_field(dataclasses.replace(base_model.W, amplitude=value))
-        model, numerics = model_from_dict(point_cfg)
-        return Pipeline(model, numerics, point_cfg)
-
     def run_point(value: float) -> dict:
         # stages fill incrementally, so a late failure keeps earlier columns
         row = dict.fromkeys(SWEEP_COLUMNS, math.nan)
         row.update(value=value, error="")
         try:
-            p = make_point(value)
+            p = base.derive(**{field_name: field_value(base_model, value)})
             gl = p.gl()
             row.update(
                 beta_c=gl.beta_c,
@@ -367,8 +363,8 @@ def sweep(cfg: dict, axis: str, values, threads: int = 1) -> list[dict]:
             row["error"] = f"{type(exc).__name__}: {exc}"
         return row
 
-    if axis in ("h", "w_amplitude"):
-        # warm the shared stages once so clones reuse them
+    if "gl" not in stages_reading([field_name]):
+        # warm the shared stages once so every point reuses them
         base.gl()
 
     if threads > 1:
@@ -424,7 +420,7 @@ def emit(bundle: ResultBundle, out_dir, fmt: str = "all") -> list[Path]:
 
     if fmt in ("json", "all"):
         result = {
-            "manifest": bundle.manifest.without_timestamps(),
+            "manifest": bundle.manifest.reproducible(),
             "validation": bundle.validation,
             "tc": bundle.tc,
             "gl": bundle.gl,

@@ -116,7 +116,8 @@ def ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGro
     n-to-2n change is below rel_tol.  A bound state whose mass reaches the
     box edge raises DomainTooSmall.
     """
-    b = prob.coupling * prob.W.boundary_value(prob.domain_radius)
+    # + 0.0 turns the -0.0 of a negative coupling times a vanishing field into 0.0
+    b = prob.coupling * prob.W.boundary_value(prob.domain_radius) + 0.0
 
     n = prob.n_points
     ev_n, _, _ = _solve_at_resolution(prob, n)

@@ -8,7 +8,6 @@ import pytest
 from tcshift.birman_schwinger import (
     BsOperator,
     BsSolver,
-    solve_beta_c,
     sup_spec_zero_temperature,
     top_eigenvalues,
 )
@@ -124,8 +123,8 @@ class TestSolveBetaC:
         assert abs(lam - 1.0) <= 10.0 * tc.tolerance * tc.beta_c * abs(slope)
 
     def test_deterministic_rerun(self, model, grids, numerics):
-        a = solve_beta_c(model, *grids, rel_tol=1e-10)
-        b = solve_beta_c(model, *grids, rel_tol=1e-10)
+        a = BsSolver(model, *grids).solve_beta_c(rel_tol=1e-10)
+        b = BsSolver(model, *grids).solve_beta_c(rel_tol=1e-10)
         assert a.beta_c == b.beta_c
 
     def test_stronger_coupling_lowers_beta_c(self, grids, tc):

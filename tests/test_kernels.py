@@ -10,13 +10,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tcshift.kernels import (
     L_pq,
     chi,
-    chi_inf,
     g0,
     g1,
     g1_exp_form,
@@ -153,13 +152,6 @@ class TestChi:
             chi(-1.0, 1.0)
 
 
-class TestChiInf:
-    def test_values(self):
-        assert chi_inf(2.0) == 0.5
-        assert chi_inf(-2.0) == 0.5
-        assert chi_inf(0.0) == math.inf
-
-
 class TestXi:
     def test_antidiagonal_limit(self):
         for beta, E in [(1.0, 0.7), (4.0, -2.0), (0.3, 10.0)]:
@@ -221,6 +213,7 @@ class TestLpq:
         mu=st.floats(-2.0, 4.0),
     )
     @settings(max_examples=200, deadline=None)
+    @example(p=0.0, q=2.0, beta=2.25, mu=2.00001)  # near-diagonal branch, once 1 ulp apart
     def test_symmetry(self, p, q, beta, mu):
         assert L_pq(beta, mu, p, q) == L_pq(beta, mu, q, p)
 

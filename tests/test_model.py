@@ -11,7 +11,6 @@ from tcshift.model import (
     InteractionPotential,
     Numerics,
     PhysicalModel,
-    eval_V,
     load_config,
     model_from_dict,
     validate_assumptions,
@@ -89,6 +88,16 @@ class TestExternalField:
         )
         assert W.boundary_value(10.0) == pytest.approx(0.25)
 
+    def test_tabulated_1d_keeps_sign_of_coordinate(self):
+        W = ExternalField(
+            family="tabulated_1d",
+            dimensionality="one_d",
+            table=[[-2.0, -1.0], [0.0, 0.0], [2.0, 5.0]],
+        )
+        assert W(-2.0) == -1.0
+        assert W(2.0) == 5.0
+        assert W(-1.0) == -0.5
+
 
 class TestPhysicalModel:
     def test_h_values_range(self):
@@ -103,7 +112,7 @@ class TestPhysicalModel:
 
     def test_eval_V(self):
         m = make_model()
-        assert eval_V(m, 0.0) == 2.0
+        assert m.V(0.0) == 2.0
 
 
 class TestNumerics:

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from tcshift.cli import main as cli_main
-from tcshift.model import model_from_dict
-from tcshift.pipeline import Pipeline, config_digest, emit, sweep
+from tcshift.errors import ConfigError
+from tcshift.model import ExternalField, model_from_dict
+from tcshift.pipeline import SWEEP_AXES, STAGES, Pipeline, config_digest, emit, sweep
 
 CFG = {
     "V": {"family": "gaussian", "amplitude": 2.0, "range": 1.0},
@@ -78,6 +79,27 @@ class TestPipeline:
         b = {k: v for k, v in again.__dict__.items() if k != "manifest"}
         assert a == b
 
+    def test_derived_pipeline_keeps_unreached_stages(self, pipe, bundle):
+        every = set(STAGES)
+        assert set(pipe._cache) == every
+        keeps = {
+            "h": every - {"shift"},
+            "w_amplitude": {"grids", "solver", "tc", "pair_top", "t_profile", "gl", "checks"},
+            "mu": set(),
+            "v_amplitude": set(),
+        }
+        for axis, kept in keeps.items():
+            field_name, field_value = SWEEP_AXES[axis]
+            point = pipe.derive(**{field_name: field_value(pipe.model, 0.5)})
+            assert set(point._cache) == kept, axis
+            assert point.cache_hits == 0
+        W = ExternalField(family="zero")
+        assert set(pipe.with_field(W)._cache) == keeps["w_amplitude"]
+
+    def test_derive_validates_the_new_model(self, pipe):
+        with pytest.raises(ConfigError):
+            pipe.derive(h_values=(1.5,))
+
     def test_stage_prefixes(self):
         model, numerics = model_from_dict(CFG)
         p = Pipeline(model, numerics, CFG)
@@ -89,6 +111,9 @@ class TestEmit:
     def test_round_trip(self, bundle, tmp_path):
         emit(bundle, tmp_path, "json")
         loaded = json.loads((tmp_path / "result.json").read_text())
+        assert "cache_hits" not in loaded["manifest"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["cache_hits"] == bundle.manifest.cache_hits
         assert loaded["tc"] == bundle.tc
         assert loaded["gl"] == bundle.gl
         assert loaded["shift"] == bundle.shift
@@ -128,6 +153,15 @@ class TestEmit:
         ).read_bytes()
 
 
+# the same axes set through the configuration mapping, independent of sweep()
+SET_IN_CONFIG = {
+    "h": lambda cfg, v: cfg.update(h_values=[v]),
+    "mu": lambda cfg, v: cfg.update(mu=v),
+    "v_amplitude": lambda cfg, v: cfg["V"].update(amplitude=v),
+    "w_amplitude": lambda cfg, v: cfg["W"].update(amplitude=v),
+}
+
+
 class TestSweep:
     def test_h_square_law(self):
         rows = sweep(CFG, "h", [0.01, 0.02, 0.04])
@@ -143,14 +177,19 @@ class TestSweep:
         assert dcs[0] != dcs[2]
 
     def test_cache_reuse_matches_fresh_run(self):
-        rows = sweep(CFG, "w_amplitude", [-8.0, -4.0])
-        cfg = json.loads(json.dumps(CFG))
-        cfg["W"]["amplitude"] = -4.0
-        model, numerics = model_from_dict(cfg)
-        fresh = Pipeline(model, numerics, cfg).bundle("shift")
-        cached_row = rows[1]
-        assert cached_row["D_c"] == fresh.shift["D_c"]
-        assert cached_row["beta_c"] == fresh.gl["beta_c"]
+        for axis, value in (("h", 0.03), ("mu", 1.2), ("v_amplitude", 2.5), ("w_amplitude", -4.0)):
+            rows = sweep(CFG, axis, [value - 0.005, value])
+            cfg = json.loads(json.dumps(CFG))
+            SET_IN_CONFIG[axis](cfg, value)
+            model, numerics = model_from_dict(cfg)
+            fresh = Pipeline(model, numerics, cfg).bundle("shift")
+            row = rows[1]
+            assert row["error"] == "", axis
+            assert row["beta_c"] == fresh.gl["beta_c"], axis
+            assert row["lambda1"] == fresh.gl["lambda1"], axis
+            assert row["e0"] == fresh.ground_state["e0"], axis
+            assert row["D_c"] == fresh.shift["D_c"], axis
+            assert row["T_c_shifted"] == fresh.shift["rows"][0][1], axis
 
     def test_error_column_on_bad_point(self):
         rows = sweep(CFG, "v_amplitude", [2.0, 0.0])
@@ -228,6 +267,22 @@ class TestCli:
         lines = (tmp_path / "s" / "sweep.csv").read_text().strip().splitlines()
         assert lines[0].startswith("value,beta_c,T_c,lambda0")
         assert len(lines) == 4
+
+        # negative values in the space-separated form
+        code = self.run_cli(
+            "sweep",
+            "--config",
+            str(cfg_path),
+            "--out",
+            str(tmp_path / "n"),
+            "--sweep-axis",
+            "w_amplitude",
+            "--sweep-values",
+            "-1,-2",
+        )
+        assert code == 0
+        lines = (tmp_path / "n" / "sweep.csv").read_text().strip().splitlines()
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [-1.0, -2.0]
 
     def test_console_entry_point(self, tmp_path):
         cfg_path = write_cfg(tmp_path, CFG)

@@ -161,6 +161,17 @@ class TestDc:
         gs = EffectiveGroundState(e0=0.0, bound_state=False, refinement_delta=0.0)
         assert compute_dc(make_gl(), gs) == 0.0
 
+    def test_unbound_negative_coupling_gives_positive_zero(self):
+        # lambda1 < 0 times a vanishing field is -0.0; e0 and D_c must not inherit the sign
+        gl = make_gl()
+        prob = EffectiveProblem.from_gl(
+            gl, ExternalField(family="zero"), domain_radius=10.0, n_points=200
+        )
+        assert prob.coupling < 0.0
+        gs = ground_energy(prob)
+        assert math.copysign(1.0, gs.e0) == 1.0
+        assert math.copysign(1.0, compute_dc(gl, gs)) == 1.0
+
     def test_sign_flip_well_vs_bump(self):
         gl = make_gl(lambda0=2.0, lambda1=-1.0, lambda2=0.5)
         coupling = gl.lambda1 / gl.lambda0
