@@ -22,34 +22,21 @@ from .grids import (
 )
 
 __all__ = [
-    "BsOperator",
     "SpectralTop",
     "CriticalTemperature",
     "PairState",
     "BsSolver",
-    "top_eigenvalues",
     "sup_spec_zero_temperature",
 ]
 
 BETA_MAX = 1e6
 BETA_MIN = 1e-6
 
-
-@dataclass(frozen=True)
-class BsOperator:
-    """Symmetric Nystrom matrix of the sandwiched operator at one temperature."""
-
-    beta: float  # math.inf selects the zero-temperature multiplier
-    matrix: np.ndarray
-    rgrid: RadialGrid
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("non-finite operator matrix")
-        if np.max(np.abs(self.matrix - self.matrix.T)) > 1e-13 * max(
-            1.0, float(np.max(np.abs(self.matrix)))
-        ):
-            raise ValueError("operator matrix lost symmetry")
+# Randomized range finder for the factor G (Halko, Martinsson, Tropp, SIAM
+# Review 53, 2011): start with RANGE_K0 Gaussian test columns, accept when
+# ||G - Q Q^T G||_F <= RANGE_RTOL ||G||_F, otherwise double the columns.
+RANGE_K0 = 64
+RANGE_RTOL = 1e-13
 
 
 @dataclass
@@ -88,12 +75,43 @@ def _measure_weights(rgrid: RadialGrid) -> np.ndarray:
     return rgrid.nodes * np.sqrt(4.0 * math.pi * rgrid.weights)
 
 
+def _sandwich(F: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """F diag(c) F^T for c >= 0, exactly symmetric."""
+    scaled = F * np.sqrt(c)
+    M = scaled @ scaled.T
+    return 0.5 * (M + M.T)
+
+
+def _compress(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Q with orthonormal columns, B = Q^T G and the residual ||G - Q B||_F.
+
+    The number of test columns doubles from RANGE_K0 until the residual is
+    within RANGE_RTOL ||G||_F; once it reaches min(n_r, n_p) the range is
+    taken whole, Q = I and B = G, with residual 0.
+    """
+    n_r, n_p = G.shape
+    rng = np.random.default_rng(0)
+    tol = RANGE_RTOL * np.linalg.norm(G)
+    k = RANGE_K0
+    while k < min(n_r, n_p):
+        Q, _ = np.linalg.qr(G @ rng.standard_normal((n_p, k)))
+        B = Q.T @ G
+        residual = float(np.linalg.norm(G - Q @ B))
+        if residual <= tol:
+            return Q, B, residual
+        k *= 2
+    return np.eye(n_r), G, 0.0
+
+
 class BsSolver:
     """Holds the beta-independent factor of the Nystrom matrix plus a beta cache.
 
     The matrix at inverse temperature beta is G diag(chi(p^2-mu)) G^T where
-    G[i, a] = sqrt(V(r_i)) r_i sqrt(w_i) j0(p_a r_i) sqrt((2/pi) w_a p_a^2),
-    so each beta costs one diagonal scaling and one rank-n_p product.
+    G[i, a] = sqrt(V(r_i)) r_i sqrt(w_i) j0(p_a r_i) sqrt((2/pi) w_a p_a^2).
+    G is compressed once to Q B (Q orthonormal n_r x k, B = Q^T G), so each
+    beta costs a k x k eigenproblem of B diag(chi) B^T, whose eigenvalues
+    are those of the rank-k matrix Q B diag(chi) B^T Q^T.  ``matrix`` keeps
+    the uncompressed definition.
     """
 
     def __init__(self, model, rgrid: RadialGrid, pgrid: MomentumGrid):
@@ -105,25 +123,52 @@ class BsSolver:
         d = np.sqrt(model.V(r)) * r * np.sqrt(wr)
         J = spherical_j0(np.outer(r, p))
         self._G = d[:, None] * J * np.sqrt((2.0 / math.pi) * wp * p * p)[None, :]
+        self._Q, self._B, self.residual = _compress(self._G)
+        self.rank = self._B.shape[0]
+        # Weyl: |lambda_j(matrix) - lambda_j(compressed)| <= ||chi||_inf * _weyl
+        self._weyl = 2.0 * float(np.linalg.norm(self._G)) * self.residual
         self._lambda_cache: dict[float, float] = {}
 
-    def matrix(self, beta_or_inf: float) -> np.ndarray:
-        c = chi_multiplier_values(beta_or_inf, self.model.mu, self.pgrid)
-        scaled = self._G * np.sqrt(c)
-        M = scaled @ scaled.T
-        return 0.5 * (M + M.T)
+    def _chi(self, beta_or_inf: float) -> np.ndarray:
+        return chi_multiplier_values(beta_or_inf, self.model.mu, self.pgrid)
 
-    def operator(self, beta_or_inf: float) -> BsOperator:
-        return BsOperator(beta=beta_or_inf, matrix=self.matrix(beta_or_inf), rgrid=self.rgrid)
+    def matrix(self, beta_or_inf: float) -> np.ndarray:
+        return _sandwich(self._G, self._chi(beta_or_inf))
+
+    def _reduced(self, beta_or_inf: float) -> np.ndarray:
+        """The k x k matrix B diag(chi) B^T."""
+        return _sandwich(self._B, self._chi(beta_or_inf))
+
+    def lambda_bound(self, beta_or_inf: float) -> float:
+        """Bound on |eigvalsh(matrix(beta))[-1] - lambda_of(beta)| from the compression."""
+        return float(np.max(np.abs(self._chi(beta_or_inf)))) * self._weyl
 
     def top(self, beta_or_inf: float, m: int = 2) -> SpectralTop:
-        return top_eigenvalues(self.operator(beta_or_inf), m)
+        """Top m eigenvalues and the leading eigenvector, de-weighted to function samples.
+
+        The eigenvector sign is fixed so that 4 pi int phi r^2 dr >= 0.
+        """
+        if m < 2:
+            raise ValueError("m must be >= 2")
+        vals, vecs = np.linalg.eigh(self._reduced(beta_or_inf))
+        top_vals = vals[::-1][:m].copy()
+        u = self._Q @ vecs[:, -1]
+        phi = u / _measure_weights(self.rgrid)
+        r, w = self.rgrid.nodes, self.rgrid.weights
+        if 4.0 * math.pi * np.sum(w * r * r * phi) < 0.0:
+            phi = -phi
+        norm = math.sqrt(4.0 * math.pi * np.sum(w * r * r * phi * phi))
+        return SpectralTop(
+            lambda1=float(top_vals[0]),
+            lambda2=float(top_vals[1]),
+            vector1=RadialFunction(grid=self.rgrid, values=phi / norm),
+            eigenvalues=top_vals,
+        )
 
     def lambda_of(self, beta_or_inf: float) -> float:
         lam = self._lambda_cache.get(beta_or_inf)
         if lam is None:
-            M = self.matrix(beta_or_inf)
-            lam = float(np.linalg.eigvalsh(M)[-1])
+            lam = float(np.linalg.eigvalsh(self._reduced(beta_or_inf))[-1])
             self._lambda_cache[beta_or_inf] = lam
         return lam
 
@@ -188,31 +233,6 @@ class BsSolver:
             grid=phi.grid, values=np.sqrt(self.model.V(phi.grid.nodes)) * phi.values
         )
         return PairState(phi_star=phi, v_half_phi=v_half), top
-
-
-def top_eigenvalues(op: BsOperator, m: int = 2) -> SpectralTop:
-    """Top eigenvalues and the leading eigenvector, de-weighted to function samples.
-
-    The eigenvector sign is fixed so that 4 pi int phi r^2 dr >= 0.
-    """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    vals, vecs = np.linalg.eigh(op.matrix)
-    top_vals = vals[::-1][:m].copy()
-    u = vecs[:, -1]
-    s = _measure_weights(op.rgrid)
-    phi = u / s
-    r, w = op.rgrid.nodes, op.rgrid.weights
-    if 4.0 * math.pi * np.sum(w * r * r * phi) < 0.0:
-        phi = -phi
-    norm = math.sqrt(4.0 * math.pi * np.sum(w * r * r * phi * phi))
-    vector1 = RadialFunction(grid=op.rgrid, values=phi / norm)
-    return SpectralTop(
-        lambda1=float(top_vals[0]),
-        lambda2=float(top_vals[1]),
-        vector1=vector1,
-        eigenvalues=top_vals,
-    )
 
 
 def sup_spec_zero_temperature(model, numerics) -> tuple[float, float]:

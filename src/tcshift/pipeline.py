@@ -68,11 +68,13 @@ class RunManifest:
     grids: dict
     tolerances: dict
     cache_hits: int = 0  # stage results this pipeline served from its own cache
+    solver_rank: int | None = None  # k of the compressed Birman-Schwinger factor
+    lambda_truncation_bound: float | None = None  # Weyl bound on lambda(beta_c) from it
 
     def reproducible(self) -> dict:
-        """The fields identical configurations reproduce: no timestamps, no counters."""
+        """The fields identical configurations reproduce: no timestamps, no solver diagnostics."""
         d = dataclasses.asdict(self)
-        for key in ("started_at", "finished_at", "cache_hits"):
+        for key in ("started_at", "finished_at", "cache_hits", "solver_rank", "lambda_truncation_bound"):
             d.pop(key)
         return d
 
@@ -121,6 +123,15 @@ def stages_reading(fields) -> set:
         if fields.intersection(reads) or reached.intersection(uses):
             reached.add(name)
     return reached
+
+
+def stages_used(stage: str) -> set:
+    """``stage`` and every stage it uses, directly or through another stage."""
+    used = {stage}
+    for name in reversed(STAGES):
+        if name in used:
+            used.update(STAGES[name][1])
+    return used
 
 
 class Pipeline:
@@ -291,6 +302,7 @@ class Pipeline:
             checks = self.checks()
 
         rgrid, pgrid = self.grids() if "tc" in verbs else (None, None)
+        solver = self.solver() if "tc" in verbs else None
         finished = datetime.now(timezone.utc).isoformat()
         manifest = RunManifest(
             config_digest=config_digest(self.cfg),
@@ -312,6 +324,8 @@ class Pipeline:
                 "gap_tol": self.numerics.gap_tol,
             },
             cache_hits=self.cache_hits,
+            solver_rank=solver.rank if solver else None,
+            lambda_truncation_bound=solver.lambda_bound(tcrit.beta_c) if solver else None,
         )
         return ResultBundle(
             manifest=manifest,
@@ -363,9 +377,15 @@ def sweep(cfg: dict, axis: str, values, threads: int = 1) -> list[dict]:
             row["error"] = f"{type(exc).__name__}: {exc}"
         return row
 
-    if "gl" not in stages_reading([field_name]):
-        # warm the shared stages once so every point reuses them
-        base.gl()
+    # warm the stages no point can change once, so every point reuses them; a
+    # failure here is left for the points to meet and record in their rows
+    shared = stages_used("shift") - stages_reading([field_name])
+    try:
+        for name in STAGES:
+            if name in shared:
+                getattr(base, name)()
+    except Exception:
+        pass
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, DomainTooSmall
 from .gl import GlCoefficients
@@ -87,6 +86,9 @@ def _potential_on_axis(prob: EffectiveProblem, x: np.ndarray, h: float) -> np.nd
 
 def _dirichlet_lowest(u_pot: np.ndarray, h: float) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of -u'' + U u on the interior grid, Dirichlet ends."""
+    # imported here: scipy.linalg costs ~0.3 s, and only dc/shift/verify get this far
+    from scipy.linalg import eigh_tridiagonal
+
     diag = 2.0 / (h * h) + u_pot
     off = np.full(len(u_pot) - 1, -1.0 / (h * h))
     vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))

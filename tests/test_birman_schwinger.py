@@ -1,19 +1,27 @@
 """Spectral solver tests: monotonicity, linearity, bisection certificates."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tcshift.birman_schwinger import (
-    BsOperator,
-    BsSolver,
-    sup_spec_zero_temperature,
-    top_eigenvalues,
-)
+from tcshift.birman_schwinger import RANGE_K0, BsSolver, sup_spec_zero_temperature
 from tcshift.errors import AssumptionViolation, NoBracket
-from tcshift.grids import apply_kernel, assemble_chi_kernel, radial_inner, RadialFunction
-from tcshift.model import ExternalField, InteractionPotential, Numerics, PhysicalModel
+from tcshift.grids import (
+    MomentumGrid,
+    RadialFunction,
+    apply_kernel,
+    assemble_chi_kernel,
+    radial_inner,
+)
+from tcshift.model import (
+    ExternalField,
+    InteractionPotential,
+    Numerics,
+    PhysicalModel,
+    load_config,
+)
 
 from conftest import default_model
 
@@ -55,17 +63,20 @@ class TestAssemble:
 
 class TestTopEigenvalues:
     def test_zero_matrix(self, grids):
-        rg, _ = grids
-        op = BsOperator(beta=1.0, matrix=np.zeros((len(rg), len(rg))), rgrid=rg)
-        top = top_eigenvalues(op, 2)
+        m = PhysicalModel(
+            V=InteractionPotential(family="gaussian", amplitude=0.0, range=1.0),
+            W=ExternalField(family="zero"),
+            mu=1.0,
+        )
+        top = BsSolver(m, *grids).top(1.0, 2)
         assert top.lambda1 == 0.0 and top.lambda2 == 0.0 and top.gap == 0.0
 
-    def test_rank_one(self, grids):
+    def test_rank_one(self, model, grids):
+        # a one-node momentum grid makes G a single column
         rg, _ = grids
-        u = np.exp(-rg.nodes)
-        op = BsOperator(beta=1.0, matrix=np.outer(u, u), rgrid=rg)
-        top = top_eigenvalues(op, 3)
-        assert top.lambda1 == pytest.approx(float(u @ u), rel=1e-12)
+        s = BsSolver(model, rg, MomentumGrid(nodes=np.array([0.5]), weights=np.array([1.0]), r_max=1.0))
+        top = s.top(1.0, 3)
+        assert top.lambda1 == pytest.approx(float(np.trace(s.matrix(1.0))), rel=1e-12)
         assert abs(top.lambda2) < 1e-12 * top.lambda1
 
     def test_eigenvector_normalized_and_sign_fixed(self, solver):
@@ -85,7 +96,7 @@ class TestTopEigenvalues:
 
     def test_requires_two(self, solver):
         with pytest.raises(ValueError):
-            top_eigenvalues(solver.operator(1.0), 1)
+            solver.top(1.0, 1)
 
 
 class TestLambdaOfBeta:
@@ -186,3 +197,65 @@ class TestZeroTemperature:
         val, delta = sup_spec_zero_temperature(model, Numerics(n_r=160, n_p=160))
         assert val > 1.0
         assert delta >= 0.0
+
+
+def dense_lambda(solver, beta):
+    return float(np.linalg.eigvalsh(solver.matrix(beta))[-1])
+
+
+class TestCompression:
+    @pytest.mark.parametrize("family", ["gaussian", "exponential", "square_well"])
+    def test_lambda_within_weyl_bound(self, family):
+        m = PhysicalModel(
+            V=InteractionPotential(family=family, amplitude=2.0, range=1.0),
+            W=ExternalField(family="zero"),
+            mu=1.0,
+        )
+        num = Numerics(n_r=192, n_p=192)
+        s = BsSolver(m, *num.build_grids(m))
+        assert s.rank < 192 and 0.0 < s.residual
+        tc = s.solve_beta_c(num.beta_bracket, num.beta_c_rel_tol)
+        guarded = BsSolver(m, s.rgrid, num.build_guarded_momentum_grid(m))
+        cases = [(s, b) for b in (0.5, tc.beta_c, 50.0)] + [(guarded, math.inf)]
+        for solver, beta in cases:
+            dense = dense_lambda(solver, beta)
+            # the Weyl bound covers the truncation; both eigensolves round on their own
+            slack = 8 * np.spacing(dense)
+            assert abs(solver.lambda_of(beta) - dense) <= solver.lambda_bound(beta) + slack
+
+    def test_beta_c_matches_dense_bisection_bitwise(self):
+        model, num = load_config(Path(__file__).resolve().parents[1] / "configs" / "gaussian.json")
+        num = Numerics(n_r=192, n_p=192, beta_bracket=num.beta_bracket, beta_c_rel_tol=num.beta_c_rel_tol)
+        s = BsSolver(model, *num.build_grids(model))
+        lo, hi = num.beta_bracket
+        assert dense_lambda(s, lo) < 1.0 < dense_lambda(s, hi)  # no bracket expansion needed
+        while hi - lo > num.beta_c_rel_tol * 0.5 * (hi + lo):
+            mid = 0.5 * (lo + hi)
+            if dense_lambda(s, mid) < 1.0:
+                lo = mid
+            else:
+                hi = mid
+        tc = s.solve_beta_c(num.beta_bracket, num.beta_c_rel_tol)
+        assert tc.beta_c == 0.5 * (lo + hi)
+        assert tc.bracket == (lo, hi)
+
+    def test_top_vector_matches_dense(self, model):
+        num = Numerics(n_r=192, n_p=192)
+        s = BsSolver(model, *num.build_grids(model))
+        top = s.top(5.0)
+        vals, vecs = np.linalg.eigh(s.matrix(5.0))
+        phi = vecs[:, -1] / (s.rgrid.nodes * np.sqrt(4.0 * math.pi * s.rgrid.weights))
+        phi *= np.sign(np.sum(s.rgrid.weights * s.rgrid.nodes**2 * phi))
+        phi /= math.sqrt(radial_inner(RadialFunction(s.rgrid, phi), RadialFunction(s.rgrid, phi)))
+        assert np.max(np.abs(top.vector1.values - phi)) < 1e-10 * np.max(np.abs(phi))
+        assert top.lambda1 == pytest.approx(vals[-1], rel=1e-13)
+        assert top.lambda2 == pytest.approx(vals[-2], rel=1e-12)
+
+    def test_small_grid_is_exact(self, model):
+        num = Numerics(n_r=RANGE_K0, n_p=RANGE_K0)
+        s = BsSolver(model, *num.build_grids(model))
+        assert s.rank == RANGE_K0 and s.residual == 0.0
+        for beta in (0.5, 5.0, 50.0):
+            assert s.lambda_bound(beta) == 0.0
+            # Q = I and B = G: the k x k problem is the dense one
+            assert s.lambda_of(beta) == dense_lambda(s, beta)

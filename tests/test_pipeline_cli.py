@@ -111,9 +111,12 @@ class TestEmit:
     def test_round_trip(self, bundle, tmp_path):
         emit(bundle, tmp_path, "json")
         loaded = json.loads((tmp_path / "result.json").read_text())
-        assert "cache_hits" not in loaded["manifest"]
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["cache_hits"] == bundle.manifest.cache_hits
+        for key in ("cache_hits", "solver_rank", "lambda_truncation_bound"):
+            assert key not in loaded["manifest"], key
+            assert manifest[key] == getattr(bundle.manifest, key), key
+        assert 0 < manifest["solver_rank"] <= CFG["numerics"]["n_r"]
+        assert 0.0 <= manifest["lambda_truncation_bound"] < 1e-10
         assert loaded["tc"] == bundle.tc
         assert loaded["gl"] == bundle.gl
         assert loaded["shift"] == bundle.shift
@@ -204,6 +207,31 @@ class TestSweep:
         d1, d2 = abs(bcs[1] - bcs[0]), abs(bcs[2] - bcs[1])
         assert d1 < 10 * d2 and d2 < 10 * d1
 
+    def test_h_sweep_solves_ground_state_once(self, monkeypatch):
+        import tcshift.pipeline as pipeline
+
+        calls = []
+
+        def counted(problem):
+            calls.append(problem)
+            return ground_energy(problem)
+
+        ground_energy = pipeline.ground_energy
+        monkeypatch.setattr(pipeline, "ground_energy", counted)
+        rows = sweep(CFG, "h", [0.01, 0.02, 0.03, 0.04])
+        assert all(r["error"] == "" for r in rows)
+        assert len(calls) == 1
+
+    def test_warm_up_failure_lands_in_rows(self):
+        cfg = json.loads(json.dumps(CFG))
+        # a barely bound state in a cramped box: ground_state fails in the warm-up
+        cfg["W"].update(amplitude=-33.5, range=1.0)
+        cfg["numerics"]["domain_radius"] = 6.0
+        rows = sweep(cfg, "h", [0.01, 0.02])
+        for r in rows:
+            assert r["error"].startswith("DomainTooSmall"), r["error"]
+            assert math.isfinite(r["beta_c"]) and math.isnan(r["e0"])
+
     def test_threads_match_serial(self):
         serial = sweep(CFG, "h", [0.01, 0.02])
         threaded = sweep(CFG, "h", [0.01, 0.02], threads=2)
@@ -283,6 +311,16 @@ class TestCli:
         assert code == 0
         lines = (tmp_path / "n" / "sweep.csv").read_text().strip().splitlines()
         assert [float(line.split(",")[0]) for line in lines[1:]] == [-1.0, -2.0]
+
+    def test_import_leaves_scipy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, tcshift.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_console_entry_point(self, tmp_path):
         cfg_path = write_cfg(tmp_path, CFG)
