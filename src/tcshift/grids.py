@@ -7,6 +7,7 @@ quantities to 1D ones through the spherical kernel j0(x) = sin(x)/x.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ __all__ = [
     "MomentumGrid",
     "RadialFunction",
     "spherical_j0",
+    "gauss_legendre",
     "composite_gauss_legendre",
     "build_radial_grid",
     "build_momentum_grid",
@@ -45,12 +47,24 @@ def spherical_j0(x):
     return out if out.ndim else float(out)
 
 
+@functools.lru_cache(maxsize=64)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def composite_gauss_legendre(boundaries, nodes_per_panel: int):
     """Gauss-Legendre nodes/weights on each panel of an ascending boundary list."""
     boundaries = np.asarray(boundaries, dtype=float)
     if boundaries.ndim != 1 or len(boundaries) < 2 or np.any(np.diff(boundaries) <= 0):
         raise GridError("panel boundaries must be strictly ascending")
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    x, w = gauss_legendre(nodes_per_panel)
     nodes, weights = [], []
     for a, b in zip(boundaries[:-1], boundaries[1:]):
         half = 0.5 * (b - a)

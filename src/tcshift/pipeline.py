@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .birman_schwinger import BsSolver
 from .checks import Artifacts, CheckResult, run_identity_checks
@@ -70,11 +72,19 @@ class RunManifest:
     cache_hits: int = 0  # stage results this pipeline served from its own cache
     solver_rank: int | None = None  # k of the compressed Birman-Schwinger factor
     lambda_truncation_bound: float | None = None  # Weyl bound on lambda(beta_c) from it
+    ground_state_ladder: dict | None = None  # schrodinger.LadderStats of the ground_state stage
 
     def reproducible(self) -> dict:
         """The fields identical configurations reproduce: no timestamps, no solver diagnostics."""
         d = dataclasses.asdict(self)
-        for key in ("started_at", "finished_at", "cache_hits", "solver_rank", "lambda_truncation_bound"):
+        for key in (
+            "started_at",
+            "finished_at",
+            "cache_hits",
+            "solver_rank",
+            "lambda_truncation_bound",
+            "ground_state_ladder",
+        ):
             d.pop(key)
         return d
 
@@ -134,6 +144,28 @@ def stages_used(stage: str) -> set:
     return used
 
 
+def _plain(value):
+    """``value`` as JSON would hold it."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _config_entry(old, new, entry):
+    """Configuration entry for model field value ``new``, edited from ``entry`` (which gave ``old``).
+
+    A V or W entry keeps the spelling of every member that did not change.
+    """
+    if not dataclasses.is_dataclass(new):
+        return _plain(new)
+    entry = dict(entry or {})
+    for f in dataclasses.fields(new):
+        value = _plain(getattr(new, f.name))
+        if value != _plain(getattr(old, f.name)):
+            entry[f.name] = value
+    return entry
+
+
 class Pipeline:
     """Lazily evaluated pipeline over one model; stages cache their results.
 
@@ -159,9 +191,15 @@ class Pipeline:
     def derive(self, **model_changes) -> "Pipeline":
         """Pipeline on ``dataclasses.replace(model, **model_changes)`` sharing unaffected stages.
 
-        The replaced model is validated again; numerics and ``cfg`` carry over.
+        The replaced model is validated again; numerics carry over, and ``cfg``
+        takes the changed fields in configuration form, so the manifest's
+        ``config_digest`` names the model that ran.
         """
-        clone = Pipeline(dataclasses.replace(self.model, **model_changes), self.numerics, self.cfg)
+        model = dataclasses.replace(self.model, **model_changes)
+        cfg = dict(self.cfg)
+        for name in model_changes:
+            cfg[name] = _config_entry(getattr(self.model, name), getattr(model, name), cfg.get(name))
+        clone = Pipeline(model, self.numerics, cfg)
         stale = stages_reading(model_changes)
         clone._cache.update((k, v) for k, v in self._cache.items() if k not in stale)
         return clone
@@ -261,7 +299,7 @@ class Pipeline:
         verbs = VERBS[: VERBS.index(upto) + 1]
 
         validation = self.validation()
-        tc_d = gl_d = gs_d = shift_d = None
+        tc_d = gl_d = gs = gs_d = shift_d = None
         checks: list[CheckResult] = []
         if "tc" in verbs:
             tcrit = self.tc()
@@ -326,6 +364,7 @@ class Pipeline:
             cache_hits=self.cache_hits,
             solver_rank=solver.rank if solver else None,
             lambda_truncation_bound=solver.lambda_bound(tcrit.beta_c) if solver else None,
+            ground_state_ladder=dataclasses.asdict(gs.ladder) if gs else None,
         )
         return ResultBundle(
             manifest=manifest,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .model import ExternalField
 __all__ = [
     "EffectiveProblem",
     "EffectiveGroundState",
+    "LadderStats",
     "TcShiftReport",
     "ground_energy",
     "compute_dc",
@@ -58,6 +60,17 @@ def default_domain_radius(coupling: float, W: ExternalField) -> float:
     return min(1e4, 20.0 * W.reach / min(1.0, math.sqrt(depth) if depth > 0 else 1.0))
 
 
+@dataclass(frozen=True)
+class LadderStats:
+    """How ``ground_energy`` reached its answer; diagnostics for manifest.json only."""
+
+    levels: int  # resolutions solved
+    final_n: int  # interior nodes of the last one
+    domain_radius: float
+    max_residual: float  # largest accepted ||A v - ev v|| over the levels
+    fallbacks: int  # levels solved by bisection because the refinement was not certified
+
+
 @dataclass
 class EffectiveGroundState:
     e0: float
@@ -66,6 +79,7 @@ class EffectiveGroundState:
     eigenfunction: np.ndarray | None = None
     nodes: np.ndarray | None = None
     essential_bottom: float = 0.0
+    ladder: LadderStats | None = None
 
 
 def _potential_on_axis(prob: EffectiveProblem, x: np.ndarray, h: float) -> np.ndarray:
@@ -84,18 +98,91 @@ def _potential_on_axis(prob: EffectiveProblem, x: np.ndarray, h: float) -> np.nd
     return prob.coupling * prob.W(coord)
 
 
-def _dirichlet_lowest(u_pot: np.ndarray, h: float) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of -u'' + U u on the interior grid, Dirichlet ends."""
+# A level's eigenpair is accepted once ||A v - ev v|| <= RESIDUAL_C * eps * ||A||,
+# and the same quantity pads the positive-definiteness certificate for the
+# rounding of the residual and of the LDL^T factorization.
+RESIDUAL_C = 16.0
+MAX_SOLVES = 6  # shifted tridiagonal solves per level before the safeguard
+
+
+def _dirichlet_lowest(
+    u_pot: np.ndarray, h: float, guess: tuple[float, np.ndarray] | None = None
+) -> tuple[float, np.ndarray, float, bool]:
+    """Lowest eigenpair of A = -u'' + U u on the interior grid, Dirichlet ends.
+
+    Inverse iteration from ``guess``, an approximate eigenvalue and vector
+    (in ``ground_energy`` the coarser level's pair, interpolated), taking the
+    Rayleigh quotient as the next shift.  Without a guess the first shift is
+    the bisection eigenvalue and the start vector is constant, since the
+    ground state is positive.  The pair (ev, v) is accepted once
+    r = ||A v - ev v|| is at most pad = RESIDUAL_C * eps * ||A|| and
+    A - (ev - r - pad) I has an LDL^T factorization.  The residual puts an
+    eigenvalue within r of ev and the factorization puts none below
+    ev - r - pad, so ev is the lowest one to within r + pad.  If a shifted
+    solve or the certificate fails, LAPACK bisection and inverse iteration
+    solve the level instead.
+
+    The guess vector is overwritten.  Returns (eigenvalue, unit eigenvector,
+    residual r, whether it fell back).
+    """
     # imported here: scipy.linalg costs ~0.3 s, and only dc/shift/verify get this far
     from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dgtsv, dpttrf
 
-    diag = 2.0 / (h * h) + u_pot
-    off = np.full(len(u_pot) - 1, -1.0 / (h * h))
+    inv_h2 = 1.0 / (h * h)
+    diag = 2.0 * inv_h2 + u_pot
+    off = np.full(len(u_pot) - 1, -inv_h2)
+    pad = RESIDUAL_C * np.finfo(float).eps * (float(np.max(np.abs(diag))) + 2.0 * inv_h2)
+
+    def rayleigh(v):
+        # difference form: the 2/h^2 of the diagonal never cancels against the off-diagonal
+        dv = np.diff(v)
+        return float((dv @ dv + v[0] * v[0] + v[-1] * v[-1]) * inv_h2 + u_pot @ (v * v))
+
+    def residual(v, ev):
+        res = (diag - ev) * v
+        res[1:] -= inv_h2 * v[:-1]
+        res[:-1] -= inv_h2 * v[1:]
+        return float(np.linalg.norm(res))
+
+    if guess is None:
+        shift = float(
+            eigh_tridiagonal(diag, off, select="i", select_range=(0, 0), eigvals_only=True)[0]
+        )
+        v = np.ones_like(u_pot)
+    else:
+        shift, v = guess
+    for _ in range(MAX_SOLVES):
+        # the solve writes its result over v: the guess vector or the last iterate
+        *_, v, info = dgtsv(off, diag - shift, off, v, overwrite_d=1, overwrite_b=1)
+        scale = np.linalg.norm(v)
+        if info != 0 or not math.isfinite(scale) or scale == 0.0:
+            break
+        v /= scale
+        ev = rayleigh(v)
+        r = residual(v, ev)
+        if r <= pad:
+            if dpttrf(diag - (ev - r - pad), off, overwrite_d=1)[2] == 0:
+                return ev, v, r, False
+            break
+        shift = ev
+
     vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    return float(vals[0]), vecs[:, 0]
+    v = vecs[:, 0]
+    ev = float(vals[0])
+    return ev, v, residual(v, ev), True
 
 
-def _solve_at_resolution(prob: EffectiveProblem, n: int) -> tuple[float, np.ndarray, np.ndarray]:
+class _Level(NamedTuple):
+    ev: float
+    vec: np.ndarray
+    residual: float
+    fell_back: bool
+    x: np.ndarray
+
+
+def _solve_at_resolution(prob: EffectiveProblem, n: int, coarse: _Level | None = None) -> _Level:
+    """Lowest box eigenpair on n interior nodes, refined from a coarser level if given."""
     R = prob.domain_radius
     if prob.W.dimensionality == "radial_3d":
         # u = r psi reduces the s-wave problem to a Dirichlet line on (0, R)
@@ -104,8 +191,8 @@ def _solve_at_resolution(prob: EffectiveProblem, n: int) -> tuple[float, np.ndar
     else:
         h = 2.0 * R / (n + 1)
         x = -R + h * np.arange(1, n + 1)
-    ev, vec = _dirichlet_lowest(_potential_on_axis(prob, x, h), h)
-    return ev, vec, x
+    guess = None if coarse is None else (coarse.ev, np.interp(x, coarse.x, coarse.vec))
+    return _Level(*_dirichlet_lowest(_potential_on_axis(prob, x, h), h, guess), x=x)
 
 
 def ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGroundState:
@@ -115,26 +202,32 @@ def ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGro
     boundary value of the potential (the bottom of the essential spectrum for
     decaying or constant fields).  The box eigenvalue is Richardson-
     extrapolated from two resolutions; resolution doubles until the observed
-    n-to-2n change is below rel_tol.  A bound state whose mass reaches the
-    box edge raises DomainTooSmall.
+    n-to-2n change is below rel_tol, and each level starts from the one
+    before it (see ``_dirichlet_lowest``).  A bound state whose mass reaches
+    the box edge raises DomainTooSmall.
     """
     # + 0.0 turns the -0.0 of a negative coupling times a vanishing field into 0.0
     b = prob.coupling * prob.W.boundary_value(prob.domain_radius) + 0.0
 
     n = prob.n_points
-    ev_n, _, _ = _solve_at_resolution(prob, n)
+    coarse = _solve_at_resolution(prob, n)
+    levels, max_residual, fallbacks = 1, coarse.residual, int(coarse.fell_back)
     for _ in range(7):
-        ev_2n, vec, x = _solve_at_resolution(prob, 2 * n)
-        delta = abs(ev_2n - ev_n)
-        extrapolated = ev_2n + (ev_2n - ev_n) / 3.0  # second-order scheme
+        fine = _solve_at_resolution(prob, 2 * n, coarse)
+        levels += 1
+        max_residual = max(max_residual, fine.residual)
+        fallbacks += fine.fell_back
+        delta = abs(fine.ev - coarse.ev)
+        extrapolated = fine.ev + (fine.ev - coarse.ev) / 3.0  # second-order scheme
         if delta < rel_tol * max(1.0, abs(extrapolated)):
             break
         n *= 2
-        ev_n = ev_2n
+        coarse = fine
     else:
         raise ConvergenceError(
             f"ground energy not converged: last n-to-2n change {delta:.3e}"
         )
+    vec, x = fine.vec, fine.x
 
     bound = extrapolated < b - rel_tol * max(1.0, abs(b))
     if bound:
@@ -160,6 +253,13 @@ def ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGro
         eigenfunction=vec if bound else None,
         nodes=x if bound else None,
         essential_bottom=float(b),
+        ladder=LadderStats(
+            levels=levels,
+            final_n=len(x),
+            domain_radius=float(prob.domain_radius),
+            max_residual=float(max_residual),
+            fallbacks=fallbacks,
+        ),
     )
 
 

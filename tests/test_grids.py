@@ -21,6 +21,7 @@ from tcshift.grids import (
     build_radial_grid,
     composite_gauss_legendre,
     ft3_radial,
+    gauss_legendre,
     radial_inner,
     spherical_j0,
 )
@@ -45,6 +46,18 @@ class TestQuadrature:
         # degree-15 polynomial integrated exactly per panel
         exact = 3.0**16 / 16.0
         assert np.sum(weights * nodes**15) == pytest.approx(exact, rel=1e-14)
+
+    def test_cached_nodes_are_read_only_and_unchanged(self):
+        x, w = gauss_legendre(16)
+        assert gauss_legendre(16)[0] is x
+        ref_x, ref_w = np.polynomial.legendre.leggauss(16)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        nodes, weights = composite_gauss_legendre([0.0, 1.0, 3.0], 16)
+        assert np.array_equal(nodes[16:], 2.0 + 1.0 * ref_x)
+        assert np.array_equal(weights[:16], 0.5 * ref_w)
 
     def test_rejects_bad_boundaries(self):
         with pytest.raises(GridError):

@@ -1,6 +1,7 @@
 """Pipeline orchestration and CLI contract tests: determinism, caching,
 serialization round-trips, exit codes."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -57,6 +58,19 @@ class TestDigest:
         changed["numerics"]["n_r"] = 193
         assert config_digest(changed) != base
 
+    def test_derived_pipeline_digests_its_own_model(self, pipe):
+        W = dataclasses.replace(pipe.model.W, amplitude=-3.0)
+        for changes, edits in (
+            ({"mu": 1.5}, {"mu": 1.5}),
+            ({"h_values": (0.05,)}, {"h_values": [0.05]}),
+            ({"W": W}, {"W": {**CFG["W"], "amplitude": -3.0}}),
+        ):
+            point = pipe.derive(**changes)
+            edited = {**CFG, **edits}
+            assert point.cfg == edited
+            assert point.bundle("validate").manifest.config_digest == config_digest(edited)
+            assert model_from_dict(point.cfg)[0] == point.model
+
 
 class TestPipeline:
     def test_bundle_consistency(self, bundle):
@@ -108,15 +122,20 @@ class TestPipeline:
 
 
 class TestEmit:
-    def test_round_trip(self, bundle, tmp_path):
+    def test_round_trip(self, pipe, bundle, tmp_path):
         emit(bundle, tmp_path, "json")
         loaded = json.loads((tmp_path / "result.json").read_text())
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        for key in ("cache_hits", "solver_rank", "lambda_truncation_bound"):
+        for key in ("cache_hits", "solver_rank", "lambda_truncation_bound", "ground_state_ladder"):
             assert key not in loaded["manifest"], key
             assert manifest[key] == getattr(bundle.manifest, key), key
         assert 0 < manifest["solver_rank"] <= CFG["numerics"]["n_r"]
         assert 0.0 <= manifest["lambda_truncation_bound"] < 1e-10
+        ladder = manifest["ground_state_ladder"]
+        assert ladder == dataclasses.asdict(pipe.ground_state().ladder)
+        assert ladder["levels"] >= 2 and ladder["fallbacks"] == 0
+        assert ladder["final_n"] == CFG["numerics"]["n_points"] * 2 ** (ladder["levels"] - 1)
+        assert 0.0 < ladder["max_residual"] < 1e-8
         assert loaded["tc"] == bundle.tc
         assert loaded["gl"] == bundle.gl
         assert loaded["shift"] == bundle.shift

@@ -17,6 +17,9 @@ from tcshift.gl import GlCoefficients
 from tcshift.model import ExternalField
 from tcshift.schrodinger import (
     EffectiveProblem,
+    _dirichlet_lowest,
+    _potential_on_axis,
+    _solve_at_resolution,
     compute_dc,
     default_domain_radius,
     ground_energy,
@@ -152,6 +155,108 @@ class TestGroundEnergy:
     def test_default_domain_radius_caps(self):
         W = ExternalField(family="gaussian_well", amplitude=-1e-8, range=1.0)
         assert default_domain_radius(1.0, W) == 1e4
+
+
+def level_matrix(prob: EffectiveProblem, n: int):
+    """Potential and spacing of the n-node level, built as the solver builds them."""
+    R = prob.domain_radius
+    if prob.W.dimensionality == "radial_3d":
+        h = R / (n + 1)
+        x = h * np.arange(1, n + 1)
+    else:
+        h = 2.0 * R / (n + 1)
+        x = -R + h * np.arange(1, n + 1)
+    return _potential_on_axis(prob, x, h), h
+
+
+def tight_eigenvalue(u_pot: np.ndarray, h: float, index: int = 0):
+    """Bisection to the smallest tolerance, independent of the inverse iteration."""
+    vals, vecs = eigh_tridiagonal(
+        2.0 / (h * h) + u_pot,
+        np.full(len(u_pot) - 1, -1.0 / (h * h)),
+        select="i",
+        select_range=(index, index),
+        tol=1e-300,
+    )
+    return float(vals[0]), vecs[:, 0]
+
+
+LADDER_PROBLEMS = {
+    "gaussian_well": EffectiveProblem(
+        coupling=1.0,
+        W=ExternalField(family="gaussian_well", amplitude=-6.0, range=1.0),
+        domain_radius=20.0,
+        n_points=400,
+    ),
+    "square_well_1d": EffectiveProblem(
+        coupling=1.0,
+        W=ExternalField(
+            family="square_well_1d", amplitude=-2.0, range=1.0, dimensionality="one_d"
+        ),
+        domain_radius=15.0,
+        n_points=400,
+    ),
+    "constant": EffectiveProblem(
+        coupling=2.0,
+        W=ExternalField(family="constant", amplitude=-0.7),
+        domain_radius=10.0,
+        n_points=400,
+    ),
+}
+
+
+class TestLadder:
+    """Level-by-level refinement by certified inverse iteration."""
+
+    @pytest.mark.parametrize("family", sorted(LADDER_PROBLEMS))
+    def test_each_level_matches_tight_bisection(self, family):
+        prob = LADDER_PROBLEMS[family]
+        level, n = None, prob.n_points
+        for _ in range(4):
+            level = _solve_at_resolution(prob, n, level)
+            ref, _ = tight_eigenvalue(*level_matrix(prob, n))
+            assert not level.fell_back
+            assert abs(level.ev - ref) <= level.residual + 1e-10
+            n *= 2
+
+    def test_second_eigenpair_guess_falls_back_to_the_lowest(self):
+        # the guess converges to the second level; the LDL^T certificate must reject it
+        u_pot, h = level_matrix(LADDER_PROBLEMS["gaussian_well"], 800)
+        lowest, _ = tight_eigenvalue(u_pot, h, 0)
+        second = tight_eigenvalue(u_pot, h, 1)
+        ev, vec, residual, fell_back = _dirichlet_lowest(u_pot, h, second)
+        assert fell_back
+        assert second[0] - lowest > 0.5
+        assert abs(ev - lowest) <= residual + 1e-10
+        assert len(vec) == len(u_pot)
+
+    def test_ladder_stats(self):
+        prob = LADDER_PROBLEMS["gaussian_well"]
+        gs = ground_energy(prob)
+        stats = gs.ladder
+        assert stats.levels >= 2
+        assert stats.final_n == prob.n_points * 2 ** (stats.levels - 1) == len(gs.nodes)
+        assert stats.domain_radius == prob.domain_radius
+        assert stats.fallbacks == 0
+        assert 0.0 < stats.max_residual < 1e-8
+
+    @pytest.mark.parametrize("amplitude", [-3.0, -8.0, -20.0])
+    def test_e0_smooth_in_coupling(self, amplitude):
+        # bisection resolves each level only to ~eps ||A||, which made e0 a step
+        # function of the coupling with jumps of ~1e-9 relative
+        W = ExternalField(family="gaussian_well", amplitude=amplitude, range=2.0)
+        R = default_domain_radius(0.37, W)
+
+        def e0(coupling):
+            return ground_energy(EffectiveProblem(coupling=coupling, W=W, domain_radius=R)).e0
+
+        base = e0(0.37)
+        assert base < 0.0
+        assert abs(e0(math.nextafter(0.37, 1.0)) - base) <= 1e-13 * abs(base)
+        # steps of 1e-9 relative: second differences of a smooth function vanish
+        lo, hi = e0(0.37 * (1 - 1e-9)), e0(0.37 * (1 + 1e-9))
+        assert hi != base
+        assert abs(lo - 2.0 * base + hi) <= 1e-13 * abs(base)
 
 
 class TestDc:
