@@ -8,18 +8,12 @@ critical inverse temperature is the bisection root of lambda_max(beta) = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import AssumptionViolation, NoBracket, NonMonotone
-from .grids import (
-    MomentumGrid,
-    RadialFunction,
-    RadialGrid,
-    chi_multiplier_values,
-    spherical_j0,
-)
+from .grids import GridPair, RadialFunction, RadialGrid, chi_multiplier_values, sandwich
 
 __all__ = [
     "SpectralTop",
@@ -75,13 +69,6 @@ def _measure_weights(rgrid: RadialGrid) -> np.ndarray:
     return rgrid.nodes * np.sqrt(4.0 * math.pi * rgrid.weights)
 
 
-def _sandwich(F: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """F diag(c) F^T for c >= 0, exactly symmetric."""
-    scaled = F * np.sqrt(c)
-    M = scaled @ scaled.T
-    return 0.5 * (M + M.T)
-
-
 def _compress(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Q with orthonormal columns, B = Q^T G and the residual ||G - Q B||_F.
 
@@ -111,33 +98,34 @@ class BsSolver:
     G is compressed once to Q B (Q orthonormal n_r x k, B = Q^T G), so each
     beta costs a k x k eigenproblem of B diag(chi) B^T, whose eigenvalues
     are those of the rank-k matrix Q B diag(chi) B^T Q^T.  ``matrix`` keeps
-    the uncompressed definition.
+    the uncompressed definition, rebuilding G from the pair's j0 table.
     """
 
-    def __init__(self, model, rgrid: RadialGrid, pgrid: MomentumGrid):
+    def __init__(self, model, grids: GridPair):
         self.model = model
-        self.rgrid = rgrid
-        self.pgrid = pgrid
-        r, wr = rgrid.nodes, rgrid.weights
-        p, wp = pgrid.nodes, pgrid.weights
-        d = np.sqrt(model.V(r)) * r * np.sqrt(wr)
-        J = spherical_j0(np.outer(r, p))
-        self._G = d[:, None] * J * np.sqrt((2.0 / math.pi) * wp * p * p)[None, :]
-        self._Q, self._B, self.residual = _compress(self._G)
+        self.grids = grids
+        G = self._factor()
+        self._Q, self._B, self.residual = _compress(G)
         self.rank = self._B.shape[0]
         # Weyl: |lambda_j(matrix) - lambda_j(compressed)| <= ||chi||_inf * _weyl
-        self._weyl = 2.0 * float(np.linalg.norm(self._G)) * self.residual
+        self._weyl = 2.0 * float(np.linalg.norm(G)) * self.residual
         self._lambda_cache: dict[float, float] = {}
 
+    def _factor(self) -> np.ndarray:
+        r, wr = self.grids.rgrid.nodes, self.grids.rgrid.weights
+        p, wp = self.grids.pgrid.nodes, self.grids.pgrid.weights
+        d = np.sqrt(self.model.V(r)) * r * np.sqrt(wr)
+        return d[:, None] * self.grids.j0 * np.sqrt((2.0 / math.pi) * wp * p * p)[None, :]
+
     def _chi(self, beta_or_inf: float) -> np.ndarray:
-        return chi_multiplier_values(beta_or_inf, self.model.mu, self.pgrid)
+        return chi_multiplier_values(beta_or_inf, self.model.mu, self.grids.pgrid)
 
     def matrix(self, beta_or_inf: float) -> np.ndarray:
-        return _sandwich(self._G, self._chi(beta_or_inf))
+        return sandwich(self._factor(), self._chi(beta_or_inf))
 
     def _reduced(self, beta_or_inf: float) -> np.ndarray:
         """The k x k matrix B diag(chi) B^T."""
-        return _sandwich(self._B, self._chi(beta_or_inf))
+        return sandwich(self._B, self._chi(beta_or_inf))
 
     def lambda_bound(self, beta_or_inf: float) -> float:
         """Bound on |eigvalsh(matrix(beta))[-1] - lambda_of(beta)| from the compression."""
@@ -152,16 +140,17 @@ class BsSolver:
             raise ValueError("m must be >= 2")
         vals, vecs = np.linalg.eigh(self._reduced(beta_or_inf))
         top_vals = vals[::-1][:m].copy()
+        rgrid = self.grids.rgrid
         u = self._Q @ vecs[:, -1]
-        phi = u / _measure_weights(self.rgrid)
-        r, w = self.rgrid.nodes, self.rgrid.weights
+        phi = u / _measure_weights(rgrid)
+        r, w = rgrid.nodes, rgrid.weights
         if 4.0 * math.pi * np.sum(w * r * r * phi) < 0.0:
             phi = -phi
         norm = math.sqrt(4.0 * math.pi * np.sum(w * r * r * phi * phi))
         return SpectralTop(
             lambda1=float(top_vals[0]),
             lambda2=float(top_vals[1]),
-            vector1=RadialFunction(grid=self.rgrid, values=phi / norm),
+            vector1=RadialFunction(grid=rgrid, values=phi / norm),
             eigenvalues=top_vals,
         )
 
@@ -243,15 +232,9 @@ def sup_spec_zero_temperature(model, numerics) -> tuple[float, float]:
     the value keeps growing slowly as the guard shrinks; the refinement
     delta quantifies how trustworthy the reported number is.
     """
-    import dataclasses
-
-    rgrid, _ = numerics.build_grids(model)
-    guarded = numerics.build_guarded_momentum_grid(model)
-    lam_fine = BsSolver(model, rgrid, guarded).lambda_of(math.inf)
-    half = dataclasses.replace(
-        numerics, n_r=max(64, numerics.n_r // 2), n_p=max(64, numerics.n_p // 2)
+    half = replace(numerics, n_r=max(64, numerics.n_r // 2), n_p=max(64, numerics.n_p // 2))
+    lam_fine, lam_half = (
+        BsSolver(model, num.build_grids(model, guarded=True)).lambda_of(math.inf)
+        for num in (numerics, half)
     )
-    rgrid_h, _ = half.build_grids(model)
-    guarded_h = half.build_guarded_momentum_grid(model)
-    lam_half = BsSolver(model, rgrid_h, guarded_h).lambda_of(math.inf)
     return lam_fine, abs(lam_fine - lam_half)

@@ -26,7 +26,7 @@ from .gl import (
     small_p_overlap_coefficient,
     tau_hat_from_t,
 )
-from .grids import RadialFunction, apply_kernel, assemble_chi_kernel, ft3_radial, radial_inner
+from .grids import GridPair, RadialFunction, apply_kernel, assemble_chi_kernel, ft3_radial, radial_inner
 from .kernels import (
     L_pq,
     chi,
@@ -98,8 +98,7 @@ class Artifacts:
 
     model: PhysicalModel
     numerics: Numerics
-    rgrid: object
-    pgrid: object
+    grids: GridPair
     tc: CriticalTemperature
     pair: PairState
     top: SpectralTop
@@ -179,6 +178,7 @@ def run_identity_checks(arts: Artifacts, tolerance_scale: float = 1.0) -> list[C
     """The full battery; failures recorded, never thrown."""
     out: list[CheckResult] = []
     model, tc, gl, t = arts.model, arts.tc, arts.gl, arts.t_profile
+    rgrid = arts.grids.rgrid
     rng = np.random.default_rng(SEED)
 
     # --- closed-form kernel identities -----------------------------------
@@ -298,7 +298,7 @@ def run_identity_checks(arts: Artifacts, tolerance_scale: float = 1.0) -> list[C
     )
 
     # --- operator-level checks ----------------------------------------------
-    solver = BsSolver(model, arts.rgrid, arts.pgrid)
+    solver = BsSolver(model, arts.grids)
     lo, hi = tc.bracket
     betas = np.logspace(math.log10(max(lo / 4, 1e-3)), math.log10(hi * 4), 10)
     lams = [solver.lambda_of(b) for b in betas]
@@ -336,7 +336,7 @@ def run_identity_checks(arts: Artifacts, tolerance_scale: float = 1.0) -> list[C
     model4 = _dc.replace(
         model, V=_dc.replace(model.V, amplitude=4.0 * model.V.amplitude)
     )
-    M4 = BsSolver(model4, arts.rgrid, arts.pgrid).matrix(tc.beta_c)
+    M4 = BsSolver(model4, arts.grids).matrix(tc.beta_c)
     _close(
         "amplitude_linearity_matrix",
         "x4 interaction amplitude scales the matrix entrywise by exactly 4",
@@ -350,7 +350,7 @@ def run_identity_checks(arts: Artifacts, tolerance_scale: float = 1.0) -> list[C
     rel = 0.0
     for c in (0.5, 2.0, 10.0):
         mc = _dc.replace(model, V=_dc.replace(model.V, amplitude=c * model.V.amplitude))
-        lam_c = BsSolver(mc, arts.rgrid, arts.pgrid).lambda_of(tc.beta_c)
+        lam_c = BsSolver(mc, arts.grids).lambda_of(tc.beta_c)
         rel = max(rel, abs(lam_c - c * lam_base) / (c * lam_base))
     _close(
         "amplitude_linearity_lambda",
@@ -362,9 +362,9 @@ def run_identity_checks(arts: Artifacts, tolerance_scale: float = 1.0) -> list[C
         out,
     )
 
-    K = assemble_chi_kernel(tc.beta_c, model.mu, arts.rgrid, arts.pgrid)
-    recovered = np.sqrt(model.V(arts.rgrid.nodes)) * apply_kernel(K, arts.pair.v_half_phi).values
-    diff = RadialFunction(arts.rgrid, recovered - arts.pair.phi_star.values)
+    K = assemble_chi_kernel(tc.beta_c, model.mu, arts.grids)
+    recovered = np.sqrt(model.V(rgrid.nodes)) * apply_kernel(K, arts.pair.v_half_phi).values
+    diff = RadialFunction(rgrid, recovered - arts.pair.phi_star.values)
     _close(
         "bs_round_trip",
         "multiplier applied to the half-sandwiched state reproduces the eigenfunction",
@@ -421,11 +421,11 @@ def run_identity_checks(arts: Artifacts, tolerance_scale: float = 1.0) -> list[C
     pgrid_indep = build_momentum_grid(
         arts.numerics.resolved_p_max(model), (3 * arts.numerics.n_p) // 2, mu=model.mu
     )
-    K_probe = assemble_chi_kernel(beta_probe, model.mu, arts.rgrid, pgrid_indep)
+    K_probe = assemble_chi_kernel(beta_probe, model.mu, GridPair(rgrid, pgrid_indep))
     for _ in range(5):
         width = rng.uniform(0.6, 1.6)
-        tau_pos = RadialFunction(arts.rgrid, np.exp(-0.5 * (arts.rgrid.nodes / width) ** 2))
-        tau_hat = ft3_radial(tau_pos, arts.pgrid)
+        tau_pos = RadialFunction(rgrid, np.exp(-0.5 * (rgrid.nodes / width) ** 2))
+        tau_hat = ft3_radial(tau_pos, arts.grids)
         a = a_functionals(tau_hat, 1.0 / beta_probe, model.mu)
         a0_pos = radial_inner(tau_pos, apply_kernel(K_probe, tau_pos))
         worst_a0 = max(worst_a0, abs(a.a0 - a0_pos) / abs(a0_pos))

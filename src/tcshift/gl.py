@@ -17,9 +17,9 @@ import numpy as np
 from .birman_schwinger import CriticalTemperature, PairState
 from .errors import PositivityViolation, ZeroNormError
 from .grids import (
+    GridPair,
     MomentumGrid,
     RadialFunction,
-    RadialGrid,
     build_momentum_grid,
     build_radial_grid,
     ft3_radial,
@@ -86,20 +86,20 @@ class AFunctionals:
     tau_hat: RadialFunction
 
 
-def compute_t(pair: PairState, tc: CriticalTemperature, model, pgrid: MomentumGrid) -> TProfile:
+def compute_t(pair: PairState, tc: CriticalTemperature, model, grids: GridPair) -> TProfile:
     """Momentum profile of the half-sandwiched pair state, fixed normalization.
 
     t(p) = 2 w_hat(p) / N with w = sqrt(V) phi* and
     N^2 = 4 pi int chi_{beta_c}(p^2-mu)^2 |w_hat(p)|^2 p^2 dp.
     """
-    w_hat = ft3_radial(pair.v_half_phi, pgrid)
-    p, wp = pgrid.nodes, pgrid.weights
+    w_hat = ft3_radial(pair.v_half_phi, grids)
+    p, wp = w_hat.grid.nodes, w_hat.grid.weights
     c = chi(tc.beta_c, p * p - model.mu)
     n_sq = 4.0 * math.pi * np.sum(wp * p * p * (c * w_hat.values) ** 2)
     if n_sq <= 0.0 or not math.isfinite(n_sq):
         raise ZeroNormError("half-sandwiched pair state has zero norm; V phi* vanished")
     N = math.sqrt(n_sq)
-    return TProfile(pgrid=pgrid, values=2.0 * w_hat.values / N, normalization_N=N)
+    return TProfile(pgrid=w_hat.grid, values=2.0 * w_hat.values / N, normalization_N=N)
 
 
 def compute_lambdas(
@@ -174,10 +174,10 @@ def normalization_position_route(pair: PairState, tc: CriticalTemperature, model
     r_big = r_base + 12.0 * xi_len
     n_r = min(6000, int(numerics.n_r * r_big / r_base))
     pg = build_momentum_grid(numerics.resolved_p_max(model), 4 * numerics.n_p, mu=model.mu)
-    rg = build_radial_grid(r_big, n_r)
-    w_hat = ft3_radial(pair.v_half_phi, pg)
+    w_hat = ft3_radial(pair.v_half_phi, GridPair(pair.v_half_phi.grid, pg))
     c = chi(tc.beta_c, pg.nodes**2 - model.mu)
-    v = ft3_radial(RadialFunction(pg, c * w_hat.values), rg)
+    big = GridPair(build_radial_grid(r_big, n_r), pg)
+    v = ft3_radial(RadialFunction(pg, c * w_hat.values), big)
     return math.sqrt(radial_inner(v, v))
 
 

@@ -2,14 +2,15 @@
 
 Everything downstream discretizes radial functions on composite
 Gauss-Legendre grids and reduces 3D integrals of rotation-invariant
-quantities to 1D ones through the spherical kernel j0(x) = sin(x)/x.
+quantities to 1D ones through the spherical kernel j0(x) = sin(x)/x,
+tabulated once per (radial, momentum) grid pair by ``GridPair``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +21,7 @@ __all__ = [
     "RadialGrid",
     "MomentumGrid",
     "RadialFunction",
+    "GridPair",
     "spherical_j0",
     "gauss_legendre",
     "composite_gauss_legendre",
@@ -36,14 +38,18 @@ INF_BETA = math.inf  # sentinel for the zero-temperature multiplier 1/|E|
 
 
 def spherical_j0(x):
-    """sin(x)/x with the series 1 - x^2/6 + x^4/120 below |x| = 1e-4."""
+    """sin(x)/x with the series 1 - x^2/6 + x^4/120 below |x| = 1e-4.
+
+    Built in the output array: sin(x), divided in place where |x| >= 1e-4,
+    the series written over the small entries only.
+    """
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)
-    direct = np.sin(xs) / xs
-    x2 = x * x
-    series = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
-    out = np.where(small, series, direct)
+    small = (x > -1e-4) & (x < 1e-4)
+    out = np.sin(x, out=np.empty_like(x))
+    np.divide(out, x, out=out, where=~small)
+    xs = x[small]
+    x2 = xs * xs
+    out[small] = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
     return out if out.ndim else float(out)
 
 
@@ -205,22 +211,36 @@ def build_momentum_grid(
     return grid
 
 
-def _j0_matrix(left: RadialGrid, right: RadialGrid) -> np.ndarray:
-    return spherical_j0(np.outer(left.nodes, right.nodes))
+@dataclass(frozen=True, eq=False)
+class GridPair:
+    """Radial and momentum grids with their read-only table j0[i, a] = j0(r_i p_a)."""
+
+    rgrid: RadialGrid
+    pgrid: MomentumGrid
+    j0: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        table = spherical_j0(np.outer(self.rgrid.nodes, self.pgrid.nodes))
+        table.flags.writeable = False
+        object.__setattr__(self, "j0", table)
 
 
-def ft3_radial(f: RadialFunction, pgrid: RadialGrid) -> RadialFunction:
+def ft3_radial(f: RadialFunction, grids: GridPair) -> RadialFunction:
     """Unitary 3D Fourier transform of a radial function, radially reduced.
 
     f_hat(p) = sqrt(2/pi) * int_0^inf f(r) j0(p r) r^2 dr.  The convention is
-    self-inverse, so the same call maps momentum profiles back to position
-    space with the grids' roles swapped.
+    self-inverse, so ``f`` may live on either grid of the pair and is mapped
+    to the other one.
     """
-    r = f.grid.nodes
-    wr = f.grid.weights
-    kernel = _j0_matrix(pgrid, f.grid)
-    vals = math.sqrt(2.0 / math.pi) * kernel @ (wr * r * r * f.values)
-    return RadialFunction(grid=pgrid, values=vals)
+    if f.grid is grids.rgrid:
+        kernel, target = grids.j0.T, grids.pgrid
+    elif f.grid is grids.pgrid:
+        kernel, target = grids.j0, grids.rgrid
+    else:
+        raise GridError("the function lives on neither grid of the pair")
+    x, w = f.grid.nodes, f.grid.weights
+    vals = math.sqrt(2.0 / math.pi) * kernel @ (w * x * x * f.values)
+    return RadialFunction(grid=target, values=vals)
 
 
 def radial_inner(f: RadialFunction, g: RadialFunction) -> float:
@@ -241,22 +261,24 @@ def chi_multiplier_values(beta_or_inf: float, mu: float, pgrid: MomentumGrid) ->
     return chi(beta_or_inf, E)
 
 
-def assemble_chi_kernel(
-    beta_or_inf: float, mu: float, rgrid: RadialGrid, pgrid: MomentumGrid
-) -> np.ndarray:
+def sandwich(F: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """F diag(c) F^T for c >= 0, exactly symmetric."""
+    scaled = F * np.sqrt(c)
+    M = scaled @ scaled.T
+    return 0.5 * (M + M.T)
+
+
+def assemble_chi_kernel(beta_or_inf: float, mu: float, grids: GridPair) -> np.ndarray:
     """Position-space kernel of the thermal multiplier in the s-wave sector.
 
     k(r, r') = (2/pi) int_0^inf chi(p^2 - mu) j0(p r) j0(p r') p^2 dp, the
     operator acting as (Af)(r) = int k(r, r') f(r') r'^2 dr'.  Assembled as
-    B diag(c) B^T with c > 0 and then symmetrized, so the result is exactly
+    ``sandwich(j0, (2/pi) w p^2 chi)`` with chi > 0, so the result is exactly
     symmetric and positive semidefinite up to rounding.
     """
-    c = chi_multiplier_values(beta_or_inf, mu, pgrid)
-    p, wp = pgrid.nodes, pgrid.weights
-    B = _j0_matrix(rgrid, pgrid)  # (n_r, n_p)
-    scaled = B * np.sqrt((2.0 / math.pi) * wp * p * p * c)
-    K = scaled @ scaled.T
-    return 0.5 * (K + K.T)
+    p, wp = grids.pgrid.nodes, grids.pgrid.weights
+    c = chi_multiplier_values(beta_or_inf, mu, grids.pgrid)
+    return sandwich(grids.j0, (2.0 / math.pi) * wp * p * p * c)
 
 
 def apply_kernel(kernel: np.ndarray, f: RadialFunction) -> RadialFunction:

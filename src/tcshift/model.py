@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError
-from .grids import build_momentum_grid, build_radial_grid
+from .grids import GridPair, build_momentum_grid, build_radial_grid
 
 __all__ = [
     "InteractionPotential",
@@ -26,6 +26,7 @@ __all__ = [
     "ValidationReport",
     "load_config",
     "model_from_dict",
+    "model_to_dict",
     "validate_assumptions",
 ]
 
@@ -191,6 +192,24 @@ class Numerics:
     domain_radius: Optional[float] = None
     n_points: int = 2000
 
+    def __post_init__(self):
+        """Reject values the solvers cannot run with; the messages name configuration keys."""
+        lo, hi = self.beta_bracket if len(self.beta_bracket) == 2 else (0.0, 0.0)
+        if not (_positive(lo) and _positive(hi) and lo < hi):
+            raise ConfigError("beta_bracket must be an increasing pair of positive numbers")
+        if not _positive(self.beta_c_rel_tol):
+            raise ConfigError("tolerances.beta_c_rel must be positive")
+        if self.n_points < 100:
+            raise ConfigError("n_points must be at least 100")
+        for key, value in (
+            ("r_max", self.r_max),
+            ("p_max", self.p_max),
+            ("domain_radius", self.domain_radius),
+            ("tolerances.guard_eps", self.guard_eps),
+        ):
+            if value is not None and not _positive(value):
+                raise ConfigError(f"{key} must be positive")
+
     def resolved_r_max(self, model: PhysicalModel) -> float:
         if self.r_max is not None:
             return float(self.r_max)
@@ -208,19 +227,14 @@ class Numerics:
             return float(self.guard_eps)
         return 1e-6 * max(1.0, abs(model.mu))
 
-    def build_grids(self, model: PhysicalModel, scale: int = 1):
-        """Radial and momentum grids at ``scale`` times the configured resolution."""
+    def build_grids(self, model: PhysicalModel, scale: int = 1, guarded: bool = False):
+        """Grid pair at ``scale`` times the configured resolution; with ``guarded``
+        the momentum grid leaves out the belt |p^2 - mu| < ``resolved_guard``.
+        """
+        guard = self.resolved_guard(model) if guarded else 0.0
         rg = build_radial_grid(self.resolved_r_max(model), scale * self.n_r)
-        pg = build_momentum_grid(self.resolved_p_max(model), scale * self.n_p, mu=model.mu)
-        return rg, pg
-
-    def build_guarded_momentum_grid(self, model: PhysicalModel, scale: int = 1):
-        return build_momentum_grid(
-            self.resolved_p_max(model),
-            scale * self.n_p,
-            mu=model.mu,
-            guard=self.resolved_guard(model),
-        )
+        pg = build_momentum_grid(self.resolved_p_max(model), scale * self.n_p, model.mu, guard)
+        return GridPair(rg, pg)
 
 
 @dataclass
@@ -306,6 +320,17 @@ def validate_assumptions(model: PhysicalModel, numerics: Numerics | None = None)
     return report
 
 
+def _positive(x) -> bool:
+    return math.isfinite(x) and x > 0
+
+
+def _plain(value):
+    """``value`` as JSON would hold it."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return list(value) if isinstance(value, tuple) else value
+
+
 def _require(d: dict, key: str, ctx: str):
     if key not in d:
         raise ConfigError(f"missing key {key!r} in {ctx}")
@@ -358,9 +383,32 @@ def model_from_dict(cfg: dict) -> tuple[PhysicalModel, Numerics]:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed numerics block: {exc}") from exc
-    if len(numerics.beta_bracket) != 2 or numerics.beta_bracket[0] >= numerics.beta_bracket[1]:
-        raise ConfigError("beta_bracket must be an increasing pair")
     return model, numerics
+
+
+def model_to_dict(model: PhysicalModel, numerics: Numerics) -> dict:
+    """The configuration mapping that ``model_from_dict`` reads back as (model, numerics)."""
+    n = numerics
+    return {
+        "V": {f.name: _plain(getattr(model.V, f.name)) for f in fields(model.V)},
+        "W": {f.name: _plain(getattr(model.W, f.name)) for f in fields(model.W)},
+        "mu": model.mu,
+        "h_values": list(model.h_values),
+        "numerics": {
+            "r_max": n.r_max,
+            "p_max": n.p_max,
+            "n_r": n.n_r,
+            "n_p": n.n_p,
+            "beta_bracket": list(n.beta_bracket),
+            "domain_radius": n.domain_radius,
+            "n_points": n.n_points,
+            "tolerances": {
+                "beta_c_rel": n.beta_c_rel_tol,
+                "gap_tol": n.gap_tol,
+                "guard_eps": n.guard_eps,
+            },
+        },
+    }
 
 
 def load_config(path) -> tuple[PhysicalModel, Numerics]:

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .birman_schwinger import BsSolver
 from .checks import Artifacts, CheckResult, run_identity_checks
@@ -29,7 +27,9 @@ from .model import (
     ExternalField,
     Numerics,
     PhysicalModel,
+    _plain,
     model_from_dict,
+    model_to_dict,
     validate_assumptions,
 )
 from .schrodinger import EffectiveProblem, TcShiftReport, compute_dc, ground_energy, tc_of_h
@@ -144,13 +144,6 @@ def stages_used(stage: str) -> set:
     return used
 
 
-def _plain(value):
-    """``value`` as JSON would hold it."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return list(value) if isinstance(value, tuple) else value
-
-
 def _config_entry(old, new, entry):
     """Configuration entry for model field value ``new``, edited from ``entry`` (which gave ``old``).
 
@@ -170,13 +163,14 @@ class Pipeline:
     """Lazily evaluated pipeline over one model; stages cache their results.
 
     ``derive`` builds a variant of the model that reuses every cached stage
-    the changed fields do not reach (see ``STAGES``).
+    the changed fields do not reach (see ``STAGES``).  Without ``cfg`` the
+    configuration mapping is ``model_to_dict(model, numerics)``.
     """
 
     def __init__(self, model: PhysicalModel, numerics: Numerics, cfg: dict | None = None):
         self.model = model
         self.numerics = numerics
-        self.cfg = cfg if cfg is not None else {}
+        self.cfg = cfg if cfg is not None else model_to_dict(model, numerics)
         self._cache: dict = {}
         self.cache_hits = 0
 
@@ -223,7 +217,7 @@ class Pipeline:
         return self._memo("grids", lambda: self.numerics.build_grids(self.model))
 
     def solver(self) -> BsSolver:
-        return self._memo("solver", lambda: BsSolver(self.model, *self.grids()))
+        return self._memo("solver", lambda: BsSolver(self.model, self.grids()))
 
     def tc(self):
         self.require_assumptions()
@@ -242,7 +236,7 @@ class Pipeline:
     def t_profile(self):
         return self._memo(
             "t_profile",
-            lambda: compute_t(self.pair_top()[0], self.tc(), self.model, self.grids()[1]),
+            lambda: compute_t(self.pair_top()[0], self.tc(), self.model, self.grids()),
         )
 
     def gl(self):
@@ -273,12 +267,10 @@ class Pipeline:
 
     def checks(self) -> list[CheckResult]:
         def build():
-            rgrid, pgrid = self.grids()
             arts = Artifacts(
                 model=self.model,
                 numerics=self.numerics,
-                rgrid=rgrid,
-                pgrid=pgrid,
+                grids=self.grids(),
                 tc=self.tc(),
                 pair=self.pair_top()[0],
                 top=self.pair_top()[1],
@@ -339,7 +331,7 @@ class Pipeline:
         if "verify" in verbs:
             checks = self.checks()
 
-        rgrid, pgrid = self.grids() if "tc" in verbs else (None, None)
+        grids = self.grids() if "tc" in verbs else None
         solver = self.solver() if "tc" in verbs else None
         finished = datetime.now(timezone.utc).isoformat()
         manifest = RunManifest(
@@ -349,12 +341,12 @@ class Pipeline:
             finished_at=finished,
             grids=(
                 {
-                    "n_r": len(rgrid),
-                    "n_p": len(pgrid),
-                    "r_max": rgrid.r_max,
-                    "p_max": pgrid.r_max,
+                    "n_r": len(grids.rgrid),
+                    "n_p": len(grids.pgrid),
+                    "r_max": grids.rgrid.r_max,
+                    "p_max": grids.pgrid.r_max,
                 }
-                if rgrid is not None
+                if grids is not None
                 else {}
             ),
             tolerances={

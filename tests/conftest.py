@@ -33,7 +33,7 @@ def grids(model, numerics):
 def solver(model, grids):
     from tcshift.birman_schwinger import BsSolver
 
-    return BsSolver(model, *grids)
+    return BsSolver(model, grids)
 
 
 @pytest.fixture(scope="session")

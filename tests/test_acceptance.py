@@ -105,10 +105,10 @@ def test_c04_gl_consistency_triangle():
     start = time.perf_counter()
     model = default_model()
     numerics = Numerics()
-    solver = BsSolver(model, *numerics.build_grids(model))
+    solver = BsSolver(model, numerics.build_grids(model))
     tcrit = solver.solve_beta_c(numerics.beta_bracket, numerics.beta_c_rel_tol)
     pair, top = solver.extract_pair_state(tcrit, numerics.gap_tol)
-    t = compute_t(pair, tcrit, model, solver.pgrid)
+    t = compute_t(pair, tcrit, model, solver.grids)
     gl = compute_lambdas(t, tcrit, model.mu, top.gap)
     tau = tau_hat_from_t(t)
 
@@ -147,10 +147,10 @@ def test_c05_positivity_across_families():
             mu=1.0,
             h_values=(0.01,),
         )
-        solver = BsSolver(model, *numerics.build_grids(model))
+        solver = BsSolver(model, numerics.build_grids(model))
         tcrit = solver.solve_beta_c(numerics.beta_bracket, numerics.beta_c_rel_tol)
         pair, top = solver.extract_pair_state(tcrit, numerics.gap_tol)
-        t = compute_t(pair, tcrit, model, solver.pgrid)
+        t = compute_t(pair, tcrit, model, solver.grids)
         gl = compute_lambdas(t, tcrit, model.mu, top.gap)
         assert gl.lambda0 > margin, (family, amp)
         assert gl.lambda2 > margin, (family, amp)
@@ -165,7 +165,7 @@ def test_c06_beta_c_well_posedness(model, numerics, solver, tc):
 
     assert solver.lambda_of(lo) < 1.0 < solver.lambda_of(hi)
 
-    solver2 = BsSolver(model, *numerics.build_grids(model, scale=2))
+    solver2 = BsSolver(model, numerics.build_grids(model, scale=2))
     tc2 = solver2.solve_beta_c(numerics.beta_bracket, numerics.beta_c_rel_tol)
     assert abs(tc2.beta_c - tc.beta_c) <= 1e-6 * tc.beta_c
 
@@ -174,7 +174,7 @@ def test_c06_beta_c_well_posedness(model, numerics, solver, tc):
         scaled = dataclasses.replace(
             model, V=dataclasses.replace(model.V, amplitude=c * model.V.amplitude)
         )
-        lam_c = BsSolver(scaled, solver.rgrid, solver.pgrid).lambda_of(tc.beta_c)
+        lam_c = BsSolver(scaled, solver.grids).lambda_of(tc.beta_c)
         assert abs(lam_c - c * lam_base) <= 1e-12 * c * lam_base
     report(6, "critical temperature well-posedness")
 

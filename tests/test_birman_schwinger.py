@@ -9,6 +9,7 @@ import pytest
 from tcshift.birman_schwinger import RANGE_K0, BsSolver, sup_spec_zero_temperature
 from tcshift.errors import AssumptionViolation, NoBracket
 from tcshift.grids import (
+    GridPair,
     MomentumGrid,
     RadialFunction,
     apply_kernel,
@@ -43,13 +44,13 @@ class TestAssemble:
             W=ExternalField(family="zero"),
             mu=1.0,
         )
-        M = BsSolver(m, *grids).matrix(2.0)
+        M = BsSolver(m, grids).matrix(2.0)
         assert np.all(M == 0.0)
 
     def test_amplitude_scaling_exact_at_matrix_level(self, grids, solver):
         # x4 amplitude scales sqrt(V) by exactly 2, every entry by exactly 4
         M1 = solver.matrix(2.0)
-        M4 = BsSolver(scaled_model(4.0), *grids).matrix(2.0)
+        M4 = BsSolver(scaled_model(4.0), grids).matrix(2.0)
         assert np.array_equal(M4, 4.0 * M1)
 
     def test_matrix_symmetric(self, solver):
@@ -68,13 +69,13 @@ class TestTopEigenvalues:
             W=ExternalField(family="zero"),
             mu=1.0,
         )
-        top = BsSolver(m, *grids).top(1.0, 2)
+        top = BsSolver(m, grids).top(1.0, 2)
         assert top.lambda1 == 0.0 and top.lambda2 == 0.0 and top.gap == 0.0
 
     def test_rank_one(self, model, grids):
         # a one-node momentum grid makes G a single column
-        rg, _ = grids
-        s = BsSolver(model, rg, MomentumGrid(nodes=np.array([0.5]), weights=np.array([1.0]), r_max=1.0))
+        one_node = MomentumGrid(nodes=np.array([0.5]), weights=np.array([1.0]), r_max=1.0)
+        s = BsSolver(model, GridPair(grids.rgrid, one_node))
         top = s.top(1.0, 3)
         assert top.lambda1 == pytest.approx(float(np.trace(s.matrix(1.0))), rel=1e-12)
         assert abs(top.lambda2) < 1e-12 * top.lambda1
@@ -111,13 +112,11 @@ class TestLambdaOfBeta:
     def test_amplitude_linearity_of_lambda(self, grids, solver):
         lam1 = solver.lambda_of(2.0)
         for c in (0.5, 2.0, 10.0):
-            lam_c = BsSolver(scaled_model(c), *grids).lambda_of(2.0)
+            lam_c = BsSolver(scaled_model(c), grids).lambda_of(2.0)
             assert lam_c == pytest.approx(c * lam1, rel=1e-12)
 
     def test_zero_temperature_dominates(self, model, numerics):
-        rg, _ = numerics.build_grids(model)
-        guarded = numerics.build_guarded_momentum_grid(model)
-        s = BsSolver(model, rg, guarded)
+        s = BsSolver(model, numerics.build_grids(model, guarded=True))
         assert s.lambda_of(math.inf) > s.lambda_of(100.0)
 
 
@@ -134,12 +133,12 @@ class TestSolveBetaC:
         assert abs(lam - 1.0) <= 10.0 * tc.tolerance * tc.beta_c * abs(slope)
 
     def test_deterministic_rerun(self, model, grids, numerics):
-        a = BsSolver(model, *grids).solve_beta_c(rel_tol=1e-10)
-        b = BsSolver(model, *grids).solve_beta_c(rel_tol=1e-10)
+        a = BsSolver(model, grids).solve_beta_c(rel_tol=1e-10)
+        b = BsSolver(model, grids).solve_beta_c(rel_tol=1e-10)
         assert a.beta_c == b.beta_c
 
     def test_stronger_coupling_lowers_beta_c(self, grids, tc):
-        tc2 = BsSolver(scaled_model(2.0), *grids).solve_beta_c((0.1, 100.0), 1e-8)
+        tc2 = BsSolver(scaled_model(2.0), grids).solve_beta_c((0.1, 100.0), 1e-8)
         assert tc2.beta_c < tc.beta_c
 
     def test_no_bracket_raises(self, grids):
@@ -150,7 +149,7 @@ class TestSolveBetaC:
         )
         num = Numerics(n_r=128, n_p=128)
         with pytest.raises(NoBracket):
-            BsSolver(m, *num.build_grids(m)).solve_beta_c((0.1, 100.0), 1e-6)
+            BsSolver(m, num.build_grids(m)).solve_beta_c((0.1, 100.0), 1e-6)
 
 
 class TestPairState:
@@ -167,8 +166,8 @@ class TestPairState:
 
     def test_birman_schwinger_round_trip(self, model, grids, tc, pair):
         # applying chi at beta_c then sqrt(V) reproduces phi*  (eigenvalue 1)
-        rg, pg = grids
-        K = assemble_chi_kernel(tc.beta_c, model.mu, rg, pg)
+        rg = grids.rgrid
+        K = assemble_chi_kernel(tc.beta_c, model.mu, grids)
         chi_w = apply_kernel(K, pair.v_half_phi)
         recovered = RadialFunction(
             grid=rg, values=np.sqrt(model.V(rg.nodes)) * chi_w.values
@@ -179,8 +178,8 @@ class TestPairState:
     def test_phi_stable_under_grid_doubling(self, model, numerics, tc, pair):
         from scipy.interpolate import CubicSpline
 
-        rg2, pg2 = numerics.build_grids(model, scale=2)
-        s2 = BsSolver(model, rg2, pg2)
+        s2 = BsSolver(model, numerics.build_grids(model, scale=2))
+        rg2 = s2.grids.rgrid
         tc2 = s2.solve_beta_c(numerics.beta_bracket, numerics.beta_c_rel_tol)
         pair2, _ = s2.extract_pair_state(tc2, numerics.gap_tol)
         coarse = CubicSpline(pair.phi_star.grid.nodes, pair.phi_star.values)(rg2.nodes)
@@ -212,10 +211,10 @@ class TestCompression:
             mu=1.0,
         )
         num = Numerics(n_r=192, n_p=192)
-        s = BsSolver(m, *num.build_grids(m))
+        s = BsSolver(m, num.build_grids(m))
         assert s.rank < 192 and 0.0 < s.residual
         tc = s.solve_beta_c(num.beta_bracket, num.beta_c_rel_tol)
-        guarded = BsSolver(m, s.rgrid, num.build_guarded_momentum_grid(m))
+        guarded = BsSolver(m, num.build_grids(m, guarded=True))
         cases = [(s, b) for b in (0.5, tc.beta_c, 50.0)] + [(guarded, math.inf)]
         for solver, beta in cases:
             dense = dense_lambda(solver, beta)
@@ -226,7 +225,7 @@ class TestCompression:
     def test_beta_c_matches_dense_bisection_bitwise(self):
         model, num = load_config(Path(__file__).resolve().parents[1] / "configs" / "gaussian.json")
         num = Numerics(n_r=192, n_p=192, beta_bracket=num.beta_bracket, beta_c_rel_tol=num.beta_c_rel_tol)
-        s = BsSolver(model, *num.build_grids(model))
+        s = BsSolver(model, num.build_grids(model))
         lo, hi = num.beta_bracket
         assert dense_lambda(s, lo) < 1.0 < dense_lambda(s, hi)  # no bracket expansion needed
         while hi - lo > num.beta_c_rel_tol * 0.5 * (hi + lo):
@@ -241,19 +240,20 @@ class TestCompression:
 
     def test_top_vector_matches_dense(self, model):
         num = Numerics(n_r=192, n_p=192)
-        s = BsSolver(model, *num.build_grids(model))
+        s = BsSolver(model, num.build_grids(model))
+        rg = s.grids.rgrid
         top = s.top(5.0)
         vals, vecs = np.linalg.eigh(s.matrix(5.0))
-        phi = vecs[:, -1] / (s.rgrid.nodes * np.sqrt(4.0 * math.pi * s.rgrid.weights))
-        phi *= np.sign(np.sum(s.rgrid.weights * s.rgrid.nodes**2 * phi))
-        phi /= math.sqrt(radial_inner(RadialFunction(s.rgrid, phi), RadialFunction(s.rgrid, phi)))
+        phi = vecs[:, -1] / (rg.nodes * np.sqrt(4.0 * math.pi * rg.weights))
+        phi *= np.sign(np.sum(rg.weights * rg.nodes**2 * phi))
+        phi /= math.sqrt(radial_inner(RadialFunction(rg, phi), RadialFunction(rg, phi)))
         assert np.max(np.abs(top.vector1.values - phi)) < 1e-10 * np.max(np.abs(phi))
         assert top.lambda1 == pytest.approx(vals[-1], rel=1e-13)
         assert top.lambda2 == pytest.approx(vals[-2], rel=1e-12)
 
     def test_small_grid_is_exact(self, model):
         num = Numerics(n_r=RANGE_K0, n_p=RANGE_K0)
-        s = BsSolver(model, *num.build_grids(model))
+        s = BsSolver(model, num.build_grids(model))
         assert s.rank == RANGE_K0 and s.residual == 0.0
         for beta in (0.5, 5.0, 50.0):
             assert s.lambda_bound(beta) == 0.0

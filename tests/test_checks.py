@@ -14,13 +14,12 @@ from tcshift.gl import compute_lambdas, compute_t
 @pytest.fixture(scope="module")
 def artifacts(model, numerics, grids, tc, pair_and_top):
     pair, top = pair_and_top
-    t = compute_t(pair, tc, model, grids[1])
+    t = compute_t(pair, tc, model, grids)
     gl = compute_lambdas(t, tc, model.mu, top.gap)
     return Artifacts(
         model=model,
         numerics=numerics,
-        rgrid=grids[0],
-        pgrid=grids[1],
+        grids=grids,
         tc=tc,
         pair=pair,
         top=top,

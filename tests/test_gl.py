@@ -31,7 +31,7 @@ from tcshift.kernels import chi, hessian_L_closed
 
 @pytest.fixture(scope="module")
 def t_profile(pair, tc, model, grids):
-    return compute_t(pair, tc, model, grids[1])
+    return compute_t(pair, tc, model, grids)
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +45,8 @@ class TestTProfile:
             phi_star=RadialFunction(pair.phi_star.grid, -pair.phi_star.values),
             v_half_phi=RadialFunction(pair.v_half_phi.grid, -pair.v_half_phi.values),
         )
-        t1 = compute_t(pair, tc, model, grids[1])
-        t2 = compute_t(flipped, tc, model, grids[1])
+        t1 = compute_t(pair, tc, model, grids)
+        t2 = compute_t(flipped, tc, model, grids)
         np.testing.assert_array_equal(t2.values, -t1.values)
 
     def test_normalization_two_routes(self, pair, tc, model, numerics, t_profile):
@@ -64,7 +64,7 @@ class TestTProfile:
             v_half_phi=RadialFunction(pair.v_half_phi.grid, 0.0 * pair.v_half_phi.values),
         )
         with pytest.raises(ZeroNormError):
-            compute_t(zero, tc, model, grids[1])
+            compute_t(zero, tc, model, grids)
 
 
 class TestLambdas:
@@ -98,14 +98,14 @@ class TestLambdas:
 class TestAFunctionals:
     def test_a0_two_routes(self, grids, model):
         # momentum-space a0 vs position-space quadratic form of the multiplier
-        rg, pg = grids
+        rg = grids.rgrid
         rng = np.random.default_rng(7)
         beta = 2.5
-        K = assemble_chi_kernel(beta, model.mu, rg, pg)
+        K = assemble_chi_kernel(beta, model.mu, grids)
         for _ in range(5):
             width = rng.uniform(0.6, 1.6)
             tau_pos = RadialFunction(rg, np.exp(-0.5 * (rg.nodes / width) ** 2))
-            tau_hat = ft3_radial(tau_pos, pg)
+            tau_hat = ft3_radial(tau_pos, grids)
             a = a_functionals(tau_hat, 1.0 / beta, model.mu)
             chi_tau = apply_kernel(K, tau_pos)
             a0_pos = radial_inner(tau_pos, chi_tau)
@@ -113,7 +113,7 @@ class TestAFunctionals:
 
     def test_a0_is_chi_quadratic_form(self, grids, model):
         # on-shell content: integrand weight equals chi at each node
-        _, pg = grids
+        pg = grids.pgrid
         tau = RadialFunction(pg, np.exp(-(pg.nodes**2)))
         beta = 3.0
         a = a_functionals(tau, 1.0 / beta, model.mu)

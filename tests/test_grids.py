@@ -13,6 +13,7 @@ import pytest
 from tcshift.errors import GridError
 from tcshift.grids import (
     INF_BETA,
+    GridPair,
     MomentumGrid,
     RadialFunction,
     apply_kernel,
@@ -35,6 +36,11 @@ def rgrid():
 @pytest.fixture(scope="module")
 def pgrid():
     return build_momentum_grid(8.0, 400, mu=1.0)
+
+
+@pytest.fixture(scope="module")
+def grids(rgrid, pgrid):
+    return GridPair(rgrid, pgrid)
 
 
 class TestQuadrature:
@@ -82,33 +88,61 @@ class TestQuadrature:
             assert spherical_j0(x) == pytest.approx(1.0 - x * x / 6.0, abs=1e-18)
         assert spherical_j0(2.0) == pytest.approx(math.sin(2.0) / 2.0, rel=1e-15)
 
+    def test_j0_matches_the_two_branch_formula_bitwise(self):
+        # the formula as written with full-size temporaries on both branches
+        def reference(x):
+            small = np.abs(x) < 1e-4
+            xs = np.where(small, 1.0, x)
+            x2 = x * x
+            return np.where(small, 1.0 - x2 / 6.0 + x2 * x2 / 120.0, np.sin(xs) / xs)
+
+        edge = np.array([0.0, 1e-5, 9.99999e-5, 1e-4, 1.00001e-4, 0.3, 1.0, 50.0])
+        edge = np.concatenate([edge, -edge])
+        table = np.outer(np.linspace(0.0, 12.0, 97), np.linspace(0.0, 8.0, 61))
+        near_branch = np.linspace(-2e-4, 2e-4, 4001)
+        for x in (edge, table, near_branch):
+            assert np.array_equal(spherical_j0(x).view(np.int64), reference(x).view(np.int64))
+        for v in edge:
+            assert spherical_j0(v) == reference(np.array(v))
+
 
 class TestFourier:
-    def test_gaussian_self_dual(self, rgrid, pgrid):
+    def test_gaussian_self_dual(self, rgrid, pgrid, grids):
         f = RadialFunction(rgrid, np.exp(-0.5 * rgrid.nodes**2))
-        fhat = ft3_radial(f, pgrid)
+        fhat = ft3_radial(f, grids)
         for p in [0.0, 0.5, 1.0, 2.0]:
             idx = np.argmin(np.abs(pgrid.nodes - p))
             pn = pgrid.nodes[idx]
             assert fhat.values[idx] == pytest.approx(math.exp(-0.5 * pn * pn), abs=1e-8)
 
-    def test_zero_maps_to_zero(self, rgrid, pgrid):
+    def test_zero_maps_to_zero(self, rgrid, grids):
         f = RadialFunction(rgrid, np.zeros(len(rgrid)))
-        assert np.all(ft3_radial(f, pgrid).values == 0.0)
+        assert np.all(ft3_radial(f, grids).values == 0.0)
 
-    def test_plancherel(self, rgrid, pgrid):
+    def test_plancherel(self, rgrid, grids):
         # 1 + r^2 keeps the 3D function smooth at the origin, so the
         # transform decays fast enough for the p_max truncation
         f = RadialFunction(rgrid, np.exp(-0.5 * rgrid.nodes**2) * (1 + rgrid.nodes**2))
-        fhat = ft3_radial(f, pgrid)
+        fhat = ft3_radial(f, grids)
         a = radial_inner(f, f)
         b = radial_inner(fhat, fhat)
         assert b == pytest.approx(a, rel=1e-8)
 
-    def test_round_trip(self, rgrid, pgrid):
+    def test_round_trip(self, rgrid, grids):
         f = RadialFunction(rgrid, np.exp(-0.5 * rgrid.nodes**2))
-        back = ft3_radial(ft3_radial(f, pgrid), rgrid)
+        back = ft3_radial(ft3_radial(f, grids), grids)
+        assert back.grid is rgrid
         assert np.max(np.abs(back.values - f.values)) < 1e-8
+
+    def test_table_is_read_only(self, grids):
+        assert grids.j0.shape == (len(grids.rgrid), len(grids.pgrid))
+        with pytest.raises(ValueError):
+            grids.j0[0, 0] = 0.0
+
+    def test_function_on_neither_grid_raises(self, grids):
+        other = build_radial_grid(12.0, 200)
+        with pytest.raises(GridError):
+            ft3_radial(RadialFunction(other, np.zeros(len(other))), grids)
 
     def test_refinement_convergence(self):
         # transform evaluated at fixed probe momenta straight from the
@@ -150,27 +184,25 @@ class TestInner:
 
 
 class TestChiKernel:
-    def test_exact_symmetry(self, rgrid, pgrid):
-        K = assemble_chi_kernel(2.0, 1.0, rgrid, pgrid)
+    def test_exact_symmetry(self, grids):
+        K = assemble_chi_kernel(2.0, 1.0, grids)
         assert np.array_equal(K, K.T)
 
-    def test_positive_diagonal(self, rgrid, pgrid):
-        K = assemble_chi_kernel(2.0, 1.0, rgrid, pgrid)
+    def test_positive_diagonal(self, grids):
+        K = assemble_chi_kernel(2.0, 1.0, grids)
         assert np.all(np.diag(K) > 0.0)
 
-    def test_small_beta_kernel_vanishes(self, rgrid, pgrid):
+    def test_small_beta_kernel_vanishes(self, grids):
         # chi_beta <= beta/2 uniformly, so the kernel norm goes to zero
-        norms = [
-            np.linalg.norm(assemble_chi_kernel(b, 1.0, rgrid, pgrid)) for b in (1e-2, 1e-4)
-        ]
+        norms = [np.linalg.norm(assemble_chi_kernel(b, 1.0, grids)) for b in (1e-2, 1e-4)]
         assert norms[1] < norms[0] * 1e-1
-        assert norms[1] < 1e-3 * np.linalg.norm(assemble_chi_kernel(1.0, 1.0, rgrid, pgrid))
+        assert norms[1] < 1e-3 * np.linalg.norm(assemble_chi_kernel(1.0, 1.0, grids))
 
     def test_momentum_refinement_cauchy(self, rgrid):
         p1 = build_momentum_grid(8.0, 400, mu=1.0)
         p2 = build_momentum_grid(8.0, 800, mu=1.0)
-        K1 = assemble_chi_kernel(2.0, 1.0, rgrid, p1)
-        K2 = assemble_chi_kernel(2.0, 1.0, rgrid, p2)
+        K1 = assemble_chi_kernel(2.0, 1.0, GridPair(rgrid, p1))
+        K2 = assemble_chi_kernel(2.0, 1.0, GridPair(rgrid, p2))
         assert np.max(np.abs(K1 - K2)) < 1e-7
 
     def test_identity_multiplier_reproduces_function(self, rgrid):
@@ -178,19 +210,20 @@ class TestChiKernel:
         # route against the direct transform: apply chi_beta then compare with
         # the momentum-space multiplication, both on the same grids.
         pg = build_momentum_grid(8.0, 400, mu=1.0)
-        K = assemble_chi_kernel(1.5, 1.0, rgrid, pg)
+        grids = GridPair(rgrid, pg)
+        K = assemble_chi_kernel(1.5, 1.0, grids)
         f = RadialFunction(rgrid, np.exp(-0.5 * rgrid.nodes**2))
         via_kernel = apply_kernel(K, f)
-        fhat = ft3_radial(f, pg)
+        fhat = ft3_radial(f, grids)
         from tcshift.kernels import chi
 
         mult = RadialFunction(pg, chi(1.5, pg.nodes**2 - 1.0) * fhat.values)
-        via_fourier = ft3_radial(mult, rgrid)
+        via_fourier = ft3_radial(mult, grids)
         assert np.max(np.abs(via_kernel.values - via_fourier.values)) < 1e-9
 
-    def test_inf_requires_guard(self, rgrid, pgrid):
+    def test_inf_requires_guard(self, rgrid, grids):
         with pytest.raises(GridError):
-            assemble_chi_kernel(INF_BETA, 1.0, rgrid, pgrid)
+            assemble_chi_kernel(INF_BETA, 1.0, grids)
         guarded = build_momentum_grid(8.0, 400, mu=1.0, guard=1e-6)
-        K = assemble_chi_kernel(INF_BETA, 1.0, rgrid, guarded)
+        K = assemble_chi_kernel(INF_BETA, 1.0, GridPair(rgrid, guarded))
         assert np.all(np.isfinite(K))

@@ -6,14 +6,19 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tcshift import errors
 from tcshift.cli import main as cli_main
-from tcshift.errors import ConfigError
-from tcshift.model import ExternalField, model_from_dict
+from tcshift.errors import ConfigError, DomainTooSmall
+from tcshift.grids import GridPair, build_momentum_grid, build_radial_grid
+from tcshift.model import ExternalField, load_config, model_from_dict, model_to_dict
 from tcshift.pipeline import SWEEP_AXES, STAGES, Pipeline, config_digest, emit, sweep
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 CFG = {
     "V": {"family": "gaussian", "amplitude": 2.0, "range": 1.0},
@@ -70,6 +75,23 @@ class TestDigest:
             assert point.cfg == edited
             assert point.bundle("validate").manifest.config_digest == config_digest(edited)
             assert model_from_dict(point.cfg)[0] == point.model
+
+    def test_model_to_dict_reads_back(self):
+        for path in sorted(CONFIGS.glob("*.json")):
+            model, numerics = load_config(path)
+            cfg = json.loads(json.dumps(model_to_dict(model, numerics)))
+            assert model_from_dict(cfg) == (model, numerics)
+        tabulated = {**CFG, "W": {"family": "tabulated_1d", "dimensionality": "one_d",
+                                  "table": [[-1.0, 0.0], [0.0, -2.0], [1.0, 0.0]]}}
+        cfg = model_to_dict(*model_from_dict(tabulated))
+        assert model_to_dict(*model_from_dict(cfg)) == cfg
+
+    def test_pipeline_without_cfg_digests_its_model(self):
+        digests = {
+            Pipeline(*load_config(path)).bundle("validate").manifest.config_digest
+            for path in (CONFIGS / "gaussian.json", CONFIGS / "square_well_1d.json")
+        }
+        assert len(digests) == 2 and config_digest({}) not in digests
 
 
 class TestPipeline:
@@ -241,6 +263,37 @@ class TestSweep:
         assert all(r["error"] == "" for r in rows)
         assert len(calls) == 1
 
+    def test_production_table_built_once_per_pipeline(self, monkeypatch):
+        model, numerics = load_config(CONFIGS / "gaussian.json")
+        built = []
+        post_init = GridPair.__post_init__
+
+        def counted(pair):
+            built.append(pair)
+            post_init(pair)
+
+        monkeypatch.setattr(GridPair, "__post_init__", counted)
+
+        def production(mu):
+            rg = build_radial_grid(numerics.resolved_r_max(model), numerics.n_r)
+            pg = build_momentum_grid(numerics.resolved_p_max(model), numerics.n_p, mu=mu)
+            return sum(
+                np.array_equal(b.rgrid.nodes, rg.nodes) and np.array_equal(b.pgrid.nodes, pg.nodes)
+                for b in built
+            )
+
+        Pipeline(model, numerics).bundle("verify")
+        assert production(model.mu) == 1
+        built.clear()
+        Pipeline(model, numerics).validation()
+        assert len(built) == 2 and all(b.pgrid.mu_guard > 0.0 for b in built)
+        cfg = json.loads((CONFIGS / "gaussian.json").read_text())
+        for axis, value in (("mu", 1.3), ("v_amplitude", 3.0)):
+            built.clear()
+            assert sweep(cfg, axis, [value])[0]["error"] == ""
+            assert production(value if axis == "mu" else model.mu) == 1, axis
+            assert sum(b.pgrid.mu_guard == 0.0 for b in built) == 1, axis
+
     def test_warm_up_failure_lands_in_rows(self):
         cfg = json.loads(json.dumps(CFG))
         # a barely bound state in a cramped box: ground_state fails in the warm-up
@@ -291,6 +344,62 @@ class TestCli:
         record = json.loads((tmp_path / "e" / "error.json").read_text())
         assert code == record["exit_code"]
         assert record["error"] in ("NoBracket", "AssumptionViolation")
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("tolerances", "beta_c_rel", 0.0),
+            ("tolerances", "beta_c_rel", -1e-8),
+            ("tolerances", "guard_eps", -1.0),
+            (None, "beta_bracket", [-1.0, 100.0]),
+            (None, "beta_bracket", [0.1, math.inf]),
+            (None, "domain_radius", -5.0),
+            (None, "n_points", 50),
+            (None, "r_max", -3.0),
+            (None, "p_max", 0.0),
+        ],
+    )
+    def test_unrunnable_numerics_exit_2(self, tmp_path, section, key, value):
+        cfg = json.loads((CONFIGS / "gaussian.json").read_text())
+        block = cfg["numerics"] if section is None else cfg["numerics"].setdefault(section, {})
+        block[key] = value
+        out = tmp_path / "out"
+        assert self.run_cli("tc", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigError" and record["exit_code"] == 2
+        assert key in record["message"]
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            pytest.param(
+                path,
+                id=path.name,
+                marks=[
+                    pytest.mark.xfail(
+                        strict=True,
+                        raises=DomainTooSmall,
+                        reason="DomainTooSmall: domain_radius 25 truncates the bound state",
+                    )
+                ]
+                if path.name == "square_well_1d.json"
+                else [],
+            )
+            for path in sorted(CONFIGS.glob("*.json"))
+        ],
+    )
+    def test_shipped_config_verifies(self, tmp_path, path):
+        code = self.run_cli("verify", "--config", str(path), "--out", str(tmp_path))
+        if code != 0 and (tmp_path / "error.json").exists():
+            record = json.loads((tmp_path / "error.json").read_text())
+            raise getattr(errors, record["error"])(record["message"])
+        assert code == 0
+        checks = json.loads((tmp_path / "result.json").read_text())["checks"]
+        assert len(checks) == 28 and all(c["passed"] for c in checks)
+
+    def test_square_well_config_runs_gl(self, tmp_path):
+        config = str(CONFIGS / "square_well_1d.json")
+        assert self.run_cli("gl", "--config", config, "--out", str(tmp_path)) == 0
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"
