@@ -153,11 +153,11 @@ class ExternalField:
             out = np.interp(np.clip(a, t[0, 0], t[-1, 0]), t[:, 0], t[:, 1])
         return out if out.ndim else float(out)
 
-    def boundary_value(self, radius: float) -> float:
-        """Estimate of the limit of W at the truncation boundary."""
+    def boundary_value(self) -> float:
+        """Limit of W at infinity; in one_d the smaller of the limits at +inf and -inf."""
         if self.dimensionality == "one_d":
-            return min(float(self(radius)), float(self(-radius)))
-        return float(self(radius))
+            return min(float(self(math.inf)), float(self(-math.inf)))
+        return float(self(math.inf))
 
 
 @dataclass(frozen=True)
@@ -212,6 +212,10 @@ class Numerics:
 
     def resolved_r_max(self, model: PhysicalModel) -> float:
         if self.r_max is not None:
+            if model.V.family == "tabulated" and self.r_max > model.V.reach:
+                raise ConfigError(
+                    f"r_max {self.r_max:g} lies beyond the last V table node {model.V.reach:g}"
+                )
             return float(self.r_max)
         if model.V.family == "tabulated":
             return model.V.reach

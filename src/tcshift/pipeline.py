@@ -119,7 +119,7 @@ STAGES = {
     "ground_state": (("W",), ("gl",)),
     "dc": ((), ("gl", "ground_state")),
     "shift": (("h_values",), ("gl", "dc")),
-    "checks": (("V", "mu"), ("grids", "tc", "pair_top", "t_profile", "gl")),
+    "checks": (("V", "mu"), ("solver", "tc", "pair_top", "t_profile", "gl")),
 }
 
 # CLI verbs in prefix order: each verb also runs every verb before it.
@@ -270,7 +270,7 @@ class Pipeline:
             arts = Artifacts(
                 model=self.model,
                 numerics=self.numerics,
-                grids=self.grids(),
+                solver=self.solver(),
                 tc=self.tc(),
                 pair=self.pair_top()[0],
                 top=self.pair_top()[1],

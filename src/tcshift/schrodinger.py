@@ -198,16 +198,16 @@ def _solve_at_resolution(prob: EffectiveProblem, n: int, coarse: _Level | None =
 def ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGroundState:
     """Estimate inf spec by Dirichlet finite differences plus the continuum bottom.
 
-    The reported energy is min(lowest box eigenvalue, b) where b is the
-    boundary value of the potential (the bottom of the essential spectrum for
-    decaying or constant fields).  The box eigenvalue is Richardson-
-    extrapolated from two resolutions; resolution doubles until the observed
-    n-to-2n change is below rel_tol, and each level starts from the one
-    before it (see ``_dirichlet_lowest``).  A bound state whose mass reaches
-    the box edge raises DomainTooSmall.
+    The reported energy is min(lowest box eigenvalue, b) where b, the bottom
+    of the essential spectrum, is the coupling times the limit of W at
+    infinity.  The box eigenvalue is Richardson-extrapolated from two
+    resolutions; resolution doubles until the observed n-to-2n change is
+    below rel_tol, and each level starts from the one before it (see
+    ``_dirichlet_lowest``).  A bound state whose mass reaches the box edge
+    raises DomainTooSmall.
     """
     # + 0.0 turns the -0.0 of a negative coupling times a vanishing field into 0.0
-    b = prob.coupling * prob.W.boundary_value(prob.domain_radius) + 0.0
+    b = prob.coupling * prob.W.boundary_value() + 0.0
 
     n = prob.n_points
     coarse = _solve_at_resolution(prob, n)

@@ -1,25 +1,26 @@
 """Verification battery tests: all green on the default model, sensitive to
-injected faults, and classified so identity checks survive tolerance
-tightening that kills quadrature-level ones."""
+injected faults through both the tolerance and the bound pass rules, and
+exact identities survive tolerance tightening that kills quadrature-limited
+ones."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from tcshift.checks import TOLERANCES, Artifacts, rbound_minorant, run_identity_checks
+from tcshift.checks import CHECKS, Artifacts, rbound_minorant, run_identity_checks
 from tcshift.gl import compute_lambdas, compute_t
 
 
 @pytest.fixture(scope="module")
-def artifacts(model, numerics, grids, tc, pair_and_top):
+def artifacts(model, numerics, solver, tc, pair_and_top):
     pair, top = pair_and_top
-    t = compute_t(pair, tc, model, grids)
+    t = compute_t(pair, tc, model, solver.grids)
     gl = compute_lambdas(t, tc, model.mu, top.gap)
     return Artifacts(
         model=model,
         numerics=numerics,
-        grids=grids,
+        solver=solver,
         tc=tc,
         pair=pair,
         top=top,
@@ -39,8 +40,7 @@ class TestBattery:
         assert failed == [], f"failing checks: {failed}"
 
     def test_every_registered_check_ran(self, results):
-        ran = {r.id for r in results}
-        assert ran == set(TOLERANCES)
+        assert [r.id for r in results] == list(CHECKS)
 
     def test_reproducible(self, artifacts, results):
         again = run_identity_checks(artifacts)
@@ -54,6 +54,28 @@ class TestBattery:
         assert not slope.passed
         # measured relative deviation ~ 1 - 1/1.1
         assert slope.measured == pytest.approx(1.0 - 1.0 / 1.1, rel=1e-2)
+
+    def test_corrupted_gap_trips_gt_bound(self, artifacts):
+        top = dataclasses.replace(artifacts.top, lambda2=artifacts.top.lambda1 + 0.1)
+        res = {r.id: r for r in run_identity_checks(dataclasses.replace(artifacts, top=top))}
+        assert [cid for cid, r in res.items() if not r.passed] == ["spectral_gap_positive"]
+        gap = res["spectral_gap_positive"]
+        assert gap.measured == pytest.approx(-0.1, rel=1e-12)
+        assert (gap.expected, gap.tolerance) == (0.0, 0.0)
+
+    def test_corrupted_bracket_trips_leq_bound(self, artifacts):
+        hi = artifacts.tc.bracket[1]
+        tc = dataclasses.replace(artifacts.tc, bracket=(hi, 2 * hi))
+        res = {r.id: r for r in run_identity_checks(dataclasses.replace(artifacts, tc=tc))}
+        assert [cid for cid, r in res.items() if not r.passed] == ["bracket_certificate"]
+        cert = res["bracket_certificate"]
+        assert cert.measured > 0.0
+        assert (cert.expected, cert.tolerance) == (0.0, 0.0)
+
+    def test_minorant_description_carries_its_certificate(self, pair, results):
+        c, e0 = rbound_minorant(pair)
+        assert results[-1].id == "minorant_certificate"
+        assert results[-1].description.endswith(f"(c={c:.4g}, E0={e0:.4g})")
 
     def test_tolerance_tightening_classifies(self, artifacts):
         res = {r.id: r for r in run_identity_checks(artifacts, tolerance_scale=1e-6)}

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from tcshift import errors
+from tcshift.birman_schwinger import BsSolver
 from tcshift.cli import main as cli_main
 from tcshift.errors import ConfigError, DomainTooSmall
 from tcshift.grids import GridPair, build_momentum_grid, build_radial_grid
@@ -135,6 +136,20 @@ class TestPipeline:
     def test_derive_validates_the_new_model(self, pipe):
         with pytest.raises(ConfigError):
             pipe.derive(h_values=(1.5,))
+
+    def test_verify_builds_one_solver_per_route(self, monkeypatch):
+        # 1 tc, 2 guarded validation and 4 scaled-amplitude solvers for the battery
+        built = []
+        init = BsSolver.__init__
+
+        def counted(solver, *args):
+            built.append(solver)
+            init(solver, *args)
+
+        monkeypatch.setattr(BsSolver, "__init__", counted)
+        model, numerics = model_from_dict(CFG)
+        Pipeline(model, numerics, CFG).bundle("verify")
+        assert len(built) == 7
 
     def test_stage_prefixes(self):
         model, numerics = model_from_dict(CFG)
@@ -368,6 +383,17 @@ class TestCli:
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "ConfigError" and record["exit_code"] == 2
         assert key in record["message"]
+
+    def test_v_table_shorter_than_r_max_exit_2(self, tmp_path):
+        cfg = json.loads(json.dumps(CFG))
+        cfg["V"] = {"family": "tabulated", "table": [[0.0, 2.0], [1.5, 1.0], [3.0, 0.0]]}
+        cfg["numerics"]["r_max"] = 5.0
+        out = tmp_path / "out"
+        code = self.run_cli("validate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out))
+        assert code == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigError" and record["exit_code"] == 2
+        assert "r_max" in record["message"]
 
     @pytest.mark.parametrize(
         "path",

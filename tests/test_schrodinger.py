@@ -111,6 +111,13 @@ class TestGroundEnergy:
         assert not gs.bound_state
         assert gs.e0 == pytest.approx(0.0, abs=1e-10)
 
+    def test_unbound_decaying_well_reports_the_limit_at_infinity(self):
+        # the Gaussian tail at the box edge (-1.4e-12 here) is not the essential bottom
+        W = ExternalField(family="gaussian_well", amplitude=-0.1, range=1.0)
+        gs = ground_energy(EffectiveProblem(coupling=1.0, W=W, domain_radius=5.0))
+        assert not gs.bound_state
+        assert gs.e0 == gs.essential_bottom == 0.0
+
     def test_lower_bound_by_potential_minimum(self):
         W = ExternalField(family="gaussian_well", amplitude=-6.0, range=1.0)
         prob = EffectiveProblem(coupling=1.0, W=W, domain_radius=40.0, n_points=2000)
