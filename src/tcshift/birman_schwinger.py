@@ -8,7 +8,7 @@ critical inverse temperature is the bisection root of lambda_max(beta) = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,8 +183,8 @@ class BsSolver:
         while lam(hi) <= 1.0:
             if hi >= BETA_MAX:
                 raise NoBracket(
-                    f"lambda({hi:g}) = {self.lambda_of(hi):.6g} <= 1: "
-                    "coupling criterion fails at this discretization"
+                    f"lambda({hi:g}) = {self.lambda_of(hi):.6g} <= 1: T_c lies below "
+                    f"1/BETA_MAX = {1.0 / BETA_MAX:g}, the low end of the search range"
                 )
             hi = min(hi * 4.0, BETA_MAX)
         while lam(lo) >= 1.0:
@@ -224,17 +224,10 @@ class BsSolver:
         return PairState(phi_star=phi, v_half_phi=v_half), top
 
 
-def sup_spec_zero_temperature(model, numerics) -> tuple[float, float]:
-    """Top eigenvalue of the zero-temperature operator on a guarded grid.
+def sup_spec_zero_temperature(solver: BsSolver) -> float:
+    """Top eigenvalue of the zero-temperature operator sqrt(V) (p^2 - mu)^{-1} sqrt(V).
 
-    Returns (value at the configured resolution, absolute change from half
-    resolution).  For mu > 0 the underlying quadratic form is unbounded, so
-    the value keeps growing slowly as the guard shrinks; the refinement
-    delta quantifies how trustworthy the reported number is.
+    Read off ``solver`` at beta = inf, which ``chi_multiplier_values`` allows
+    for mu <= 0 only; for mu > 0 the operator is unbounded.
     """
-    half = replace(numerics, n_r=max(64, numerics.n_r // 2), n_p=max(64, numerics.n_p // 2))
-    lam_fine, lam_half = (
-        BsSolver(model, num.build_grids(model, guarded=True)).lambda_of(math.inf)
-        for num in (numerics, half)
-    )
-    return lam_fine, abs(lam_fine - lam_half)
+    return solver.lambda_of(math.inf)

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, ToolError
-from .model import load_config
+from .model import model_from_dict
 from .pipeline import (
     SWEEP_AXES,
     SWEEP_COLUMNS,
@@ -127,7 +127,7 @@ def main(argv=None) -> int:
                 print(f"value {r['value']}: {r['error']}", file=sys.stderr)
             return 0 if not errors else 1
 
-        model, numerics = load_config(args.config)
+        model, numerics = model_from_dict(cfg)
         pipe = Pipeline(model, numerics, cfg)
         bundle = pipe.bundle(args.verb)
         emit(bundle, out_dir, args.format)

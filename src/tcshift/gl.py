@@ -18,8 +18,8 @@ from .birman_schwinger import CriticalTemperature, PairState
 from .errors import PositivityViolation, ZeroNormError
 from .grids import (
     GridPair,
-    MomentumGrid,
     RadialFunction,
+    RadialGrid,
     build_momentum_grid,
     build_radial_grid,
     ft3_radial,
@@ -55,7 +55,7 @@ class TProfile:
     built from |t|^2 are scale-free observables.
     """
 
-    pgrid: MomentumGrid
+    pgrid: RadialGrid
     values: np.ndarray
     normalization_N: float
 

@@ -19,7 +19,6 @@ from .kernels import chi
 
 __all__ = [
     "RadialGrid",
-    "MomentumGrid",
     "RadialFunction",
     "GridPair",
     "spherical_j0",
@@ -31,10 +30,7 @@ __all__ = [
     "radial_inner",
     "assemble_chi_kernel",
     "apply_kernel",
-    "INF_BETA",
 ]
-
-INF_BETA = math.inf  # sentinel for the zero-temperature multiplier 1/|E|
 
 
 def spherical_j0(x):
@@ -81,7 +77,7 @@ def composite_gauss_legendre(boundaries, nodes_per_panel: int):
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Positive quadrature nodes and weights; weights sum to the covered length."""
+    """Positive quadrature nodes and weights on (0, r_max]; weights sum to r_max."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -95,33 +91,11 @@ class RadialGrid:
             raise GridError("nodes must be strictly ascending and positive")
         if np.any(w <= 0):
             raise GridError("weights must be positive")
-        if abs(w.sum() - self.covered_length()) > 1e-12 * max(1.0, self.r_max):
-            raise GridError("weights do not sum to the covered length")
-
-    def covered_length(self) -> float:
-        return self.r_max
+        if abs(w.sum() - self.r_max) > 1e-12 * max(1.0, self.r_max):
+            raise GridError("weights do not sum to r_max")
 
     def __len__(self):
         return len(self.nodes)
-
-
-@dataclass(frozen=True)
-class MomentumGrid(RadialGrid):
-    """Momentum grid on (0, p_max]; optionally keeps nodes off the sphere p^2 = mu.
-
-    With ``mu_guard`` > 0 the belt |p^2 - mu| < mu_guard carries no panel, so the
-    covered length is p_max minus the belt width.
-    """
-
-    mu_guard: float = 0.0
-    excluded: float = 0.0  # total length of the excluded belt
-
-    def covered_length(self) -> float:
-        return self.r_max - self.excluded
-
-    def require_guard(self):
-        if self.mu_guard <= 0.0:
-            raise GridError("this operation needs a mu-guarded momentum grid")
 
 
 @dataclass
@@ -158,16 +132,11 @@ def _dedupe(pts, tol):
     return out
 
 
-def build_momentum_grid(
-    p_max: float, n_p: int, mu: float = 0.0, guard: float = 0.0
-) -> MomentumGrid:
+def build_momentum_grid(p_max: float, n_p: int, mu: float = 0.0) -> RadialGrid:
     """Composite grid on (0, p_max], panel-refined toward p^2 = mu when mu > 0.
 
     The thermal multiplier concentrates on the sphere p^2 = mu at low
     temperature, so panel boundaries accumulate there on a dyadic ladder.
-    With ``guard`` > 0 the belt |p^2 - mu| < guard is excluded from the
-    panels entirely, which keeps the 1/|p^2 - mu| multiplier finite on every
-    node.
     """
     if p_max <= 0 or n_p < 8:
         raise GridError("need p_max > 0 and n_p >= 8")
@@ -182,33 +151,10 @@ def build_momentum_grid(
                 if 0.0 < cand < p_max:
                     pts.append(cand)
 
-    tol = 1e-9 * p_max
-    excluded = 0.0
-    if guard > 0.0 and mu + guard > 0.0:
-        p_hi = math.sqrt(mu + guard)
-        p_lo = math.sqrt(mu - guard) if mu > guard else 0.0
-        if p_hi >= p_max:
-            raise GridError("guard belt reaches p_max; enlarge the grid")
-        excluded = p_hi - p_lo
-        inner = [p for p in pts if p < p_lo - tol or p > p_hi + tol]
-        segments = []
-        if p_lo > 0.0:
-            segments.append(_dedupe([p for p in inner if p <= p_lo] + [0.0, p_lo], tol))
-        segments.append(_dedupe([p for p in inner if p >= p_hi] + [p_hi, p_max], tol))
-    else:
-        segments = [_dedupe(pts + [0.0, p_max], tol)]
-
-    n_panels = sum(len(s) - 1 for s in segments)
-    order = max(4, round(n_p / n_panels))
-    parts = [composite_gauss_legendre(s, order) for s in segments]
-    nodes = np.concatenate([p[0] for p in parts])
-    weights = np.concatenate([p[1] for p in parts])
-    grid = MomentumGrid(
-        nodes=nodes, weights=weights, r_max=p_max, mu_guard=guard, excluded=excluded
-    )
-    if guard > 0.0 and np.any(np.abs(nodes * nodes - mu) < guard):
-        raise GridError("guarded momentum grid still has nodes on the sphere")
-    return grid
+    boundaries = _dedupe(pts + [0.0, p_max], 1e-9 * p_max)
+    order = max(4, round(n_p / (len(boundaries) - 1)))
+    nodes, weights = composite_gauss_legendre(boundaries, order)
+    return RadialGrid(nodes=nodes, weights=weights, r_max=p_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +162,7 @@ class GridPair:
     """Radial and momentum grids with their read-only table j0[i, a] = j0(r_i p_a)."""
 
     rgrid: RadialGrid
-    pgrid: MomentumGrid
+    pgrid: RadialGrid
     j0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -252,12 +198,16 @@ def radial_inner(f: RadialFunction, g: RadialFunction) -> float:
     return float(4.0 * math.pi * np.sum(w * r * r * (f.values * g.values)))
 
 
-def chi_multiplier_values(beta_or_inf: float, mu: float, pgrid: MomentumGrid) -> np.ndarray:
-    """chi on the momentum nodes; the inf sentinel selects 1/|p^2 - mu|."""
+def chi_multiplier_values(beta_or_inf: float, mu: float, pgrid: RadialGrid) -> np.ndarray:
+    """chi on the momentum nodes; beta = inf gives the zero-temperature 1/(p^2 - mu).
+
+    That limit is finite on every node only for mu <= 0, where p^2 - mu >= p^2 > 0.
+    """
     E = pgrid.nodes**2 - mu
     if beta_or_inf == math.inf:
-        pgrid.require_guard()
-        return 1.0 / np.abs(E)
+        if mu > 0.0:
+            raise GridError("the zero-temperature multiplier 1/(p^2 - mu) needs mu <= 0")
+        return 1.0 / E
     return chi(beta_or_inf, E)
 
 

@@ -46,6 +46,8 @@ def _as_table(table) -> np.ndarray:
     t = np.asarray(table, dtype=float)
     if t.ndim != 2 or t.shape[1] != 2 or t.shape[0] < 2:
         raise ConfigError("table must be a list of (x, value) pairs")
+    if not np.all(np.isfinite(t)):
+        raise ConfigError("table entries must be finite")
     if np.any(np.diff(t[:, 0]) <= 0):
         raise ConfigError("table abscissae must be strictly increasing")
     return t
@@ -63,6 +65,8 @@ class InteractionPotential:
     def __post_init__(self):
         if self.family not in V_FAMILIES:
             raise ConfigError(f"unknown V family {self.family!r}")
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.range)):
+            raise ConfigError("V amplitude and range must be finite")
         if self.family == "tabulated":
             if self.table is None:
                 raise ConfigError("tabulated V requires a table")
@@ -113,6 +117,8 @@ class ExternalField:
     def __post_init__(self):
         if self.family not in W_FAMILIES:
             raise ConfigError(f"unknown W family {self.family!r}")
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.range)):
+            raise ConfigError("W amplitude and range must be finite")
         if self.dimensionality not in W_DIMENSIONALITIES:
             raise ConfigError(
                 "W dimensionality must be radial_3d or one_d; general 3D fields are rejected"
@@ -188,7 +194,6 @@ class Numerics:
     beta_bracket: tuple = (0.1, 100.0)
     beta_c_rel_tol: float = 1e-8
     gap_tol: float = 1e-6
-    guard_eps: Optional[float] = None
     domain_radius: Optional[float] = None
     n_points: int = 2000
 
@@ -197,15 +202,18 @@ class Numerics:
         lo, hi = self.beta_bracket if len(self.beta_bracket) == 2 else (0.0, 0.0)
         if not (_positive(lo) and _positive(hi) and lo < hi):
             raise ConfigError("beta_bracket must be an increasing pair of positive numbers")
-        if not _positive(self.beta_c_rel_tol):
-            raise ConfigError("tolerances.beta_c_rel must be positive")
+        for key, value in (
+            ("tolerances.beta_c_rel", self.beta_c_rel_tol),
+            ("tolerances.gap_tol", self.gap_tol),
+        ):
+            if not _positive(value):
+                raise ConfigError(f"{key} must be positive")
         if self.n_points < 100:
             raise ConfigError("n_points must be at least 100")
         for key, value in (
             ("r_max", self.r_max),
             ("p_max", self.p_max),
             ("domain_radius", self.domain_radius),
-            ("tolerances.guard_eps", self.guard_eps),
         ):
             if value is not None and not _positive(value):
                 raise ConfigError(f"{key} must be positive")
@@ -226,18 +234,10 @@ class Numerics:
             return float(self.p_max)
         return max(8.0, 6.0 * math.sqrt(max(model.mu, 1.0)))
 
-    def resolved_guard(self, model: PhysicalModel) -> float:
-        if self.guard_eps is not None:
-            return float(self.guard_eps)
-        return 1e-6 * max(1.0, abs(model.mu))
-
-    def build_grids(self, model: PhysicalModel, scale: int = 1, guarded: bool = False):
-        """Grid pair at ``scale`` times the configured resolution; with ``guarded``
-        the momentum grid leaves out the belt |p^2 - mu| < ``resolved_guard``.
-        """
-        guard = self.resolved_guard(model) if guarded else 0.0
+    def build_grids(self, model: PhysicalModel, scale: int = 1) -> GridPair:
+        """Grid pair at ``scale`` times the configured resolution."""
         rg = build_radial_grid(self.resolved_r_max(model), scale * self.n_r)
-        pg = build_momentum_grid(self.resolved_p_max(model), scale * self.n_p, model.mu, guard)
+        pg = build_momentum_grid(self.resolved_p_max(model), scale * self.n_p, model.mu)
         return GridPair(rg, pg)
 
 
@@ -264,17 +264,19 @@ class ValidationReport:
         raise KeyError(name)
 
 
-def validate_assumptions(model: PhysicalModel, numerics: Numerics | None = None) -> ValidationReport:
+def validate_assumptions(model: PhysicalModel, numerics: Numerics, solver) -> ValidationReport:
     """Check the model against the standing requirements; never raises.
 
     Items: V non-negative and bounded, r*V bounded, W bounded with a finite
     sampled Lipschitz quotient, and the zero-temperature coupling criterion
-    (top eigenvalue of the 1/|p^2-mu| operator above 1, computed on a
-    mu-guarded grid; reported together with its grid-refinement delta).
+    T_c > 0.  For mu > 0 that criterion holds for every V >= 0 that is not
+    identically zero (Hainzl-Hamza-Seiringer-Solovej, Commun. Math. Phys.
+    281 (2008)), checked as sup V > 0 on the sample grid.  For mu <= 0 it is
+    lambda(inf) > 1, the top eigenvalue of sqrt(V) (p^2 - mu)^{-1} sqrt(V)
+    read off ``solver``, the production ``BsSolver``.
     """
     from .birman_schwinger import sup_spec_zero_temperature
 
-    numerics = numerics or Numerics()
     report = ValidationReport()
     r_max = numerics.resolved_r_max(model)
     r = np.linspace(0.0, r_max, 4001)
@@ -312,13 +314,21 @@ def validate_assumptions(model: PhysicalModel, numerics: Numerics | None = None)
         )
     )
 
-    sup0, delta = sup_spec_zero_temperature(model, numerics)
+    if model.mu > 0.0:
+        measured, threshold = float(v.max()), 0.0
+        detail = (
+            "mu > 0: T_c > 0 for every V >= 0 not identically zero "
+            "(Hainzl-Hamza-Seiringer-Solovej 2008); sup V on the sample grid"
+        )
+    else:
+        measured, threshold = sup_spec_zero_temperature(solver), 1.0
+        detail = "mu <= 0: top eigenvalue of the 1/(p^2 - mu) operator on the production grids"
     report.items.append(
         ValidationItem(
             name="zero_temperature_coupling",
-            passed=bool(sup0 > 1.0),
-            measured=sup0,
-            detail=f"top eigenvalue of the 1/|p^2-mu| operator; refinement delta {delta:.3e}",
+            passed=bool(measured > threshold),
+            measured=measured,
+            detail=detail,
         )
     )
     return report
@@ -381,13 +391,22 @@ def model_from_dict(cfg: dict) -> tuple[PhysicalModel, Numerics]:
             beta_bracket=tuple(nd.get("beta_bracket", (0.1, 100.0))),
             beta_c_rel_tol=float(tol.get("beta_c_rel", 1e-8)),
             gap_tol=float(tol.get("gap_tol", 1e-6)),
-            guard_eps=tol.get("guard_eps"),
             domain_radius=nd.get("domain_radius"),
             n_points=int(nd.get("n_points", 2000)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed numerics block: {exc}") from exc
+    _reject_unknown_keys(cfg, model_to_dict(model, numerics))
     return model, numerics
+
+
+def _reject_unknown_keys(cfg: dict, known: dict, prefix: str = "") -> None:
+    """Raise on a key of ``cfg`` that ``known`` (a ``model_to_dict`` mapping) lacks."""
+    for key, value in cfg.items():
+        if key not in known:
+            raise ConfigError(f"unknown configuration key {prefix + key!r}")
+        if isinstance(value, dict) and isinstance(known[key], dict):
+            _reject_unknown_keys(value, known[key], f"{prefix}{key}.")
 
 
 def model_to_dict(model: PhysicalModel, numerics: Numerics) -> dict:
@@ -409,7 +428,6 @@ def model_to_dict(model: PhysicalModel, numerics: Numerics) -> dict:
             "tolerances": {
                 "beta_c_rel": n.beta_c_rel_tol,
                 "gap_tol": n.gap_tol,
-                "guard_eps": n.guard_eps,
             },
         },
     }

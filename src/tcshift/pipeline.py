@@ -109,9 +109,9 @@ class ResultBundle:
 # is a precondition that ``tc`` checks, not an input, so a new W keeps the
 # coefficients (W enters only the effective operator p^2 + (lambda1/lambda0) W).
 STAGES = {
-    "validation": (("V", "W", "mu"), ()),
     "grids": (("V", "mu"), ()),
     "solver": (("V", "mu"), ("grids",)),
+    "validation": (("V", "W", "mu"), ("solver",)),
     "tc": ((), ("solver",)),
     "pair_top": ((), ("solver", "tc")),
     "t_profile": (("mu",), ("pair_top", "tc", "grids")),
@@ -204,7 +204,9 @@ class Pipeline:
     # --- stages -------------------------------------------------------------
 
     def validation(self):
-        return self._memo("validation", lambda: validate_assumptions(self.model, self.numerics))
+        return self._memo(
+            "validation", lambda: validate_assumptions(self.model, self.numerics, self.solver())
+        )
 
     def require_assumptions(self):
         report = self.validation()

@@ -102,7 +102,7 @@ def _potential_on_axis(prob: EffectiveProblem, x: np.ndarray, h: float) -> np.nd
 # and the same quantity pads the positive-definiteness certificate for the
 # rounding of the residual and of the LDL^T factorization.
 RESIDUAL_C = 16.0
-MAX_SOLVES = 6  # shifted tridiagonal solves per level before the safeguard
+MAX_SOLVES = 6  # shifted tridiagonal solves per level before the eigh_tridiagonal fallback
 
 
 def _dirichlet_lowest(

@@ -1,5 +1,6 @@
 """Spectral solver tests: monotonicity, linearity, bisection certificates."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -7,11 +8,11 @@ import numpy as np
 import pytest
 
 from tcshift.birman_schwinger import RANGE_K0, BsSolver, sup_spec_zero_temperature
-from tcshift.errors import AssumptionViolation, NoBracket
+from tcshift.errors import AssumptionViolation, GridError, NoBracket
 from tcshift.grids import (
     GridPair,
-    MomentumGrid,
     RadialFunction,
+    RadialGrid,
     apply_kernel,
     assemble_chi_kernel,
     radial_inner,
@@ -35,6 +36,12 @@ def scaled_model(c):
         mu=m.mu,
         h_values=m.h_values,
     )
+
+
+def below_sphere(n=160):
+    """Production solver at mu = -1, where 1/(p^2 - mu) is bounded and beta = inf is allowed."""
+    m = dataclasses.replace(default_model(), mu=-1.0)
+    return BsSolver(m, Numerics(n_r=n, n_p=n).build_grids(m))
 
 
 class TestAssemble:
@@ -74,7 +81,7 @@ class TestTopEigenvalues:
 
     def test_rank_one(self, model, grids):
         # a one-node momentum grid makes G a single column
-        one_node = MomentumGrid(nodes=np.array([0.5]), weights=np.array([1.0]), r_max=1.0)
+        one_node = RadialGrid(nodes=np.array([0.5]), weights=np.array([1.0]), r_max=1.0)
         s = BsSolver(model, GridPair(grids.rgrid, one_node))
         top = s.top(1.0, 3)
         assert top.lambda1 == pytest.approx(float(np.trace(s.matrix(1.0))), rel=1e-12)
@@ -115,9 +122,10 @@ class TestLambdaOfBeta:
             lam_c = BsSolver(scaled_model(c), grids).lambda_of(2.0)
             assert lam_c == pytest.approx(c * lam1, rel=1e-12)
 
-    def test_zero_temperature_dominates(self, model, numerics):
-        s = BsSolver(model, numerics.build_grids(model, guarded=True))
-        assert s.lambda_of(math.inf) > s.lambda_of(100.0)
+    def test_zero_temperature_dominates(self):
+        # tanh(beta E / 2) / E < 1 / E for E = p^2 + 1 > 0
+        s = below_sphere()
+        assert all(s.lambda_of(math.inf) > s.lambda_of(b) for b in (0.5, 2.0, 10.0))
 
 
 class TestSolveBetaC:
@@ -192,10 +200,13 @@ class TestPairState:
 
 
 class TestZeroTemperature:
-    def test_reported_with_delta(self, model):
-        val, delta = sup_spec_zero_temperature(model, Numerics(n_r=160, n_p=160))
-        assert val > 1.0
-        assert delta >= 0.0
+    def test_reported_with_delta(self, solver):
+        # the bounded mu = -1 operator converges under grid doubling; mu > 0 is refused
+        val, fine = (sup_spec_zero_temperature(below_sphere(n)) for n in (160, 320))
+        assert val > 0.0
+        assert abs(fine - val) < 1e-12 * val
+        with pytest.raises(GridError):
+            sup_spec_zero_temperature(solver)
 
 
 def dense_lambda(solver, beta):
@@ -214,8 +225,9 @@ class TestCompression:
         s = BsSolver(m, num.build_grids(m))
         assert s.rank < 192 and 0.0 < s.residual
         tc = s.solve_beta_c(num.beta_bracket, num.beta_c_rel_tol)
-        guarded = BsSolver(m, num.build_grids(m, guarded=True))
-        cases = [(s, b) for b in (0.5, tc.beta_c, 50.0)] + [(guarded, math.inf)]
+        below = dataclasses.replace(m, mu=-1.0)
+        cases = [(s, b) for b in (0.5, tc.beta_c, 50.0)]
+        cases.append((BsSolver(below, num.build_grids(below)), math.inf))
         for solver, beta in cases:
             dense = dense_lambda(solver, beta)
             # the Weyl bound covers the truncation; both eigensolves round on their own

@@ -12,9 +12,7 @@ import pytest
 
 from tcshift.errors import GridError
 from tcshift.grids import (
-    INF_BETA,
     GridPair,
-    MomentumGrid,
     RadialFunction,
     apply_kernel,
     assemble_chi_kernel,
@@ -73,15 +71,6 @@ class TestQuadrature:
         # node spacing near p = sqrt(mu) is much finer than the mean spacing
         near = np.abs(pgrid.nodes - 1.0) < 0.05
         assert near.sum() > 8
-
-    def test_guarded_grid_avoids_sphere(self):
-        g = build_momentum_grid(8.0, 400, mu=1.0, guard=1e-6)
-        assert np.all(np.abs(g.nodes**2 - 1.0) >= 1e-6)
-        assert g.mu_guard == 1e-6
-
-    def test_guarded_grid_negative_mu_has_no_belt(self):
-        g = build_momentum_grid(8.0, 200, mu=-1.0, guard=1e-6)
-        assert g.excluded == 0.0
 
     def test_j0_series_branch(self):
         for x in [0.0, 1e-5, 9e-5]:
@@ -222,8 +211,10 @@ class TestChiKernel:
         assert np.max(np.abs(via_kernel.values - via_fourier.values)) < 1e-9
 
     def test_inf_requires_guard(self, rgrid, grids):
+        # 1/(p^2 - mu) is singular on the sphere p^2 = mu > 0 and finite for mu <= 0
         with pytest.raises(GridError):
-            assemble_chi_kernel(INF_BETA, 1.0, grids)
-        guarded = build_momentum_grid(8.0, 400, mu=1.0, guard=1e-6)
-        K = assemble_chi_kernel(INF_BETA, 1.0, GridPair(rgrid, guarded))
+            assemble_chi_kernel(math.inf, 1.0, grids)
+        below = GridPair(rgrid, build_momentum_grid(8.0, 400, mu=-1.0))
+        K = assemble_chi_kernel(math.inf, -1.0, below)
         assert np.all(np.isfinite(K))
+        assert np.array_equal(K, K.T)

@@ -1,10 +1,12 @@
 """Model configuration and assumption-validation tests."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from tcshift.birman_schwinger import BsSolver
 from tcshift.errors import ConfigError
 from tcshift.model import (
     ExternalField,
@@ -24,6 +26,11 @@ def make_model(v_amp=2.0, w_family="zero", w_amp=0.0, mu=1.0):
         mu=mu,
         h_values=(0.01, 0.02),
     )
+
+
+def validate(model, n=128):
+    numerics = Numerics(n_r=n, n_p=n)
+    return validate_assumptions(model, numerics, BsSolver(model, numerics.build_grids(model)))
 
 
 class TestInteraction:
@@ -99,6 +106,23 @@ class TestExternalField:
         assert W(-1.0) == -0.5
 
 
+@pytest.mark.parametrize(
+    "cls, kwargs",
+    [
+        (InteractionPotential, {"family": "gaussian", "amplitude": math.nan}),
+        (InteractionPotential, {"family": "exponential", "range": math.inf}),
+        (InteractionPotential, {"family": "tabulated", "table": [(0.0, 1.0), (1.0, math.nan)]}),
+        (ExternalField, {"family": "gaussian_well", "amplitude": math.nan, "range": 2.0}),
+        (ExternalField, {"family": "gaussian_well", "amplitude": -1.0, "range": math.inf}),
+        (ExternalField, {"family": "tabulated_radial", "table": [(0.0, -1.0), (math.inf, 0.0)]}),
+    ],
+    ids=["V-amplitude", "V-range", "V-table", "W-amplitude", "W-range", "W-table"],
+)
+def test_non_finite_parameters_rejected(cls, kwargs):
+    with pytest.raises(ConfigError, match="finite"):
+        cls(**kwargs)
+
+
 class TestPhysicalModel:
     def test_h_values_range(self):
         with pytest.raises(ConfigError):
@@ -121,7 +145,6 @@ class TestNumerics:
         n = Numerics()
         assert n.resolved_r_max(m) == 12.0
         assert n.resolved_p_max(m) == 8.0
-        assert n.resolved_guard(m) == 1e-6
 
     def test_tabulated_truncates_at_table_end(self):
         V = InteractionPotential(family="tabulated", table=[(0.0, 1.0), (3.0, 0.0)])
@@ -131,25 +154,26 @@ class TestNumerics:
 
 class TestValidation:
     def test_default_model_passes(self):
-        rep = validate_assumptions(make_model(), Numerics(n_r=160, n_p=160))
+        rep = validate(make_model(), n=160)
         assert rep.passed
-        assert rep["zero_temperature_coupling"].measured > 1.0
+        # mu > 0: the coupling criterion is the theorem, measured as sup V
+        assert rep["zero_temperature_coupling"].measured == 2.0
 
     def test_zero_interaction_fails_coupling(self):
-        m = make_model(v_amp=0.0)
-        rep = validate_assumptions(m, Numerics(n_r=128, n_p=128))
-        item = rep["zero_temperature_coupling"]
-        assert not item.passed
-        assert item.measured == 0.0
+        for mu in (1.0, -1.0):
+            item = validate(make_model(v_amp=0.0, mu=mu))["zero_temperature_coupling"]
+            assert not item.passed
+            assert item.measured == 0.0
 
     def test_coupling_scales_linearly_in_amplitude(self):
-        num = Numerics(n_r=128, n_p=128)
-        m1 = validate_assumptions(make_model(v_amp=1.0), num)["zero_temperature_coupling"]
-        m2 = validate_assumptions(make_model(v_amp=2.0), num)["zero_temperature_coupling"]
+        # mu = -1: the measured value is lambda(inf) of the production solver
+        m1 = validate(make_model(v_amp=1.0, mu=-1.0))["zero_temperature_coupling"]
+        m2 = validate(make_model(v_amp=2.0, mu=-1.0))["zero_temperature_coupling"]
+        assert 0.0 < m1.measured < 1.0 and not m1.passed
         assert m2.measured == pytest.approx(2.0 * m1.measured, rel=1e-12)
 
     def test_constant_W_lipschitz_zero(self):
-        rep = validate_assumptions(make_model(w_family="constant", w_amp=3.0), Numerics(n_r=128, n_p=128))
+        rep = validate(make_model(w_family="constant", w_amp=3.0))
         assert rep["W_bounded_lipschitz"].measured == 0.0
         assert rep["W_bounded_lipschitz"].passed
 

@@ -133,12 +133,20 @@ class TestPipeline:
         W = ExternalField(family="zero")
         assert set(pipe.with_field(W)._cache) == keeps["w_amplitude"]
 
+    def test_stage_table_is_ordered(self):
+        # stages_reading and stages_used rely on each entry following the stages it uses
+        seen = set()
+        for name, (_reads, uses) in STAGES.items():
+            assert set(uses) <= seen, name
+            assert callable(Pipeline.__dict__.get(name)), name
+            seen.add(name)
+
     def test_derive_validates_the_new_model(self, pipe):
         with pytest.raises(ConfigError):
             pipe.derive(h_values=(1.5,))
 
     def test_verify_builds_one_solver_per_route(self, monkeypatch):
-        # 1 tc, 2 guarded validation and 4 scaled-amplitude solvers for the battery
+        # 1 tc solver, which validation shares, and 4 scaled-amplitude solvers for the battery
         built = []
         init = BsSolver.__init__
 
@@ -149,7 +157,7 @@ class TestPipeline:
         monkeypatch.setattr(BsSolver, "__init__", counted)
         model, numerics = model_from_dict(CFG)
         Pipeline(model, numerics, CFG).bundle("verify")
-        assert len(built) == 7
+        assert len(built) == 5
 
     def test_stage_prefixes(self):
         model, numerics = model_from_dict(CFG)
@@ -280,14 +288,19 @@ class TestSweep:
 
     def test_production_table_built_once_per_pipeline(self, monkeypatch):
         model, numerics = load_config(CONFIGS / "gaussian.json")
-        built = []
-        post_init = GridPair.__post_init__
+        built, solvers = [], []
+        post_init, solver_init = GridPair.__post_init__, BsSolver.__init__
 
         def counted(pair):
             built.append(pair)
             post_init(pair)
 
+        def counted_solver(solver, *args):
+            solvers.append(solver)
+            solver_init(solver, *args)
+
         monkeypatch.setattr(GridPair, "__post_init__", counted)
+        monkeypatch.setattr(BsSolver, "__init__", counted_solver)
 
         def production(mu):
             rg = build_radial_grid(numerics.resolved_r_max(model), numerics.n_r)
@@ -300,14 +313,18 @@ class TestSweep:
         Pipeline(model, numerics).bundle("verify")
         assert production(model.mu) == 1
         built.clear()
-        Pipeline(model, numerics).validation()
-        assert len(built) == 2 and all(b.pgrid.mu_guard > 0.0 for b in built)
+        solvers.clear()
+        fresh = Pipeline(model, numerics)
+        fresh.validation()
+        fresh.tc()
+        assert production(model.mu) == len(built) == len(solvers) == 1
         cfg = json.loads((CONFIGS / "gaussian.json").read_text())
         for axis, value in (("mu", 1.3), ("v_amplitude", 3.0)):
             built.clear()
+            solvers.clear()
             assert sweep(cfg, axis, [value])[0]["error"] == ""
             assert production(value if axis == "mu" else model.mu) == 1, axis
-            assert sum(b.pgrid.mu_guard == 0.0 for b in built) == 1, axis
+            assert len(built) == len(solvers) == 1, axis
 
     def test_warm_up_failure_lands_in_rows(self):
         cfg = json.loads(json.dumps(CFG))
@@ -365,7 +382,7 @@ class TestCli:
         [
             ("tolerances", "beta_c_rel", 0.0),
             ("tolerances", "beta_c_rel", -1e-8),
-            ("tolerances", "guard_eps", -1.0),
+            ("tolerances", "gap_tol", -1.0),
             (None, "beta_bracket", [-1.0, 100.0]),
             (None, "beta_bracket", [0.1, math.inf]),
             (None, "domain_radius", -5.0),
@@ -383,6 +400,42 @@ class TestCli:
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "ConfigError" and record["exit_code"] == 2
         assert key in record["message"]
+
+    @pytest.mark.parametrize(
+        "dotted",
+        [
+            "numerics.n_rr",
+            "numerics.tolerances.guard_epsilon",
+            "numerics.tolerances.guard_eps",
+            "V.amp",
+            "Mu",
+        ],
+    )
+    def test_unknown_key_exit_2(self, tmp_path, dotted):
+        cfg = json.loads((CONFIGS / "gaussian.json").read_text())
+        *outer, key = dotted.split(".")
+        block = cfg
+        for part in outer:
+            block = block.setdefault(part, {})
+        block[key] = -1.0
+        out = tmp_path / "out"
+        code = self.run_cli("validate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out))
+        assert code == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigError" and record["exit_code"] == 2
+        assert repr(dotted) in record["message"]
+
+    def test_weak_coupling_tc_below_search_range(self, tmp_path):
+        # mu > 0 gives T_c > 0 by theorem; at this amplitude T_c lies below 1/BETA_MAX
+        cfg = json.loads((CONFIGS / "gaussian.json").read_text())
+        cfg["V"]["amplitude"] = 0.4
+        path = str(write_cfg(tmp_path, cfg))
+        assert self.run_cli("validate", "--config", path, "--out", str(tmp_path / "v")) == 0
+        out = tmp_path / "tc"
+        assert self.run_cli("tc", "--config", path, "--out", str(out)) == 4
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "NoBracket" and record["exit_code"] == 4
+        assert "1e-06" in record["message"]
 
     def test_v_table_shorter_than_r_max_exit_2(self, tmp_path):
         cfg = json.loads(json.dumps(CFG))
