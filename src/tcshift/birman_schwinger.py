@@ -8,7 +8,7 @@ critical inverse temperature is the bisection root of lambda_max(beta) = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,10 +50,10 @@ class CriticalTemperature:
     beta_c: float
     bracket: tuple
     tolerance: float
+    T_c: float = field(init=False)
 
-    @property
-    def T_c(self) -> float:
-        return 1.0 / self.beta_c
+    def __post_init__(self):
+        object.__setattr__(self, "T_c", 1.0 / self.beta_c)
 
 
 @dataclass
@@ -161,11 +161,7 @@ class BsSolver:
             self._lambda_cache[beta_or_inf] = lam
         return lam
 
-    def solve_beta_c(
-        self,
-        bracket_hint: tuple = (0.1, 100.0),
-        rel_tol: float = 1e-8,
-    ) -> CriticalTemperature:
+    def solve_beta_c(self, bracket_hint: tuple, rel_tol: float) -> CriticalTemperature:
         """Bisect lambda(beta) = 1 with a certified bracket.
 
         The hint is expanded geometrically (factor 4, up to [1e-6, 1e6])
@@ -209,7 +205,7 @@ class BsSolver:
         return CriticalTemperature(beta_c=0.5 * (lo + hi), bracket=(lo, hi), tolerance=rel_tol)
 
     def extract_pair_state(
-        self, tc: CriticalTemperature, gap_tol: float = 1e-6
+        self, tc: CriticalTemperature, gap_tol: float
     ) -> tuple[PairState, SpectralTop]:
         top = self.top(tc.beta_c, m=2)
         if top.gap < gap_tol:

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, ToolError
-from .model import model_from_dict
+from .model import model_from_dict, read_config
 from .pipeline import (
     SWEEP_AXES,
     SWEEP_COLUMNS,
@@ -57,13 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_out_dir(arg_out, cfg: dict) -> Path:
-    if arg_out:
-        return Path(arg_out)
-    env = os.environ.get(OUT_ENV)
-    if env:
-        return Path(env)
-    return Path("tcshift_out") / config_digest(cfg)[:12]
+def resolve_out_dir(arg_out, cfg: dict | None) -> Path | None:
+    """--out, else $TCSHIFT_OUT, else the digest-named default (None while ``cfg`` is None)."""
+    named = arg_out or os.environ.get(OUT_ENV)
+    if named:
+        return Path(named)
+    return None if cfg is None else Path("tcshift_out") / config_digest(cfg)[:12]
 
 
 def _print_summary(bundle) -> None:
@@ -102,15 +101,12 @@ def main(argv=None) -> int:
         i = argv.index("--sweep-values")
         argv[i : i + 2] = [f"--sweep-values={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
+    # without --out or $TCSHIFT_OUT the directory is named by the config, so an
+    # unreadable config has none to record its error in
+    out_dir = resolve_out_dir(args.out, None)
     try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return ConfigError.exit_code
-    out_dir = resolve_out_dir(args.out, cfg)
-
-    try:
+        cfg = read_config(args.config)
+        out_dir = resolve_out_dir(args.out, cfg)
         if args.verb == "sweep":
             values = [v for v in args.sweep_values.split(",") if v.strip()]
             try:
@@ -139,13 +135,14 @@ def main(argv=None) -> int:
             return 1
         return 0
     except ToolError as exc:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        record = {
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "exit_code": exc.exit_code,
-        }
-        (out_dir / "error.json").write_text(json.dumps(record, indent=2) + "\n")
+        if out_dir is not None:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            record = {
+                "error": type(exc).__name__,
+                "message": str(exc),
+                "exit_code": exc.exit_code,
+            }
+            (out_dir / "error.json").write_text(json.dumps(record, indent=2) + "\n")
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
 

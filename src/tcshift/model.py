@@ -7,9 +7,10 @@ zero-temperature coupling criterion) and owns the JSON configuration schema.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "ValidationItem",
     "ValidationReport",
     "load_config",
+    "read_config",
     "model_from_dict",
     "model_to_dict",
     "validate_assumptions",
@@ -65,6 +67,7 @@ class InteractionPotential:
     def __post_init__(self):
         if self.family not in V_FAMILIES:
             raise ConfigError(f"unknown V family {self.family!r}")
+        _coerce(self, amplitude=float, range=float)
         if not (math.isfinite(self.amplitude) and math.isfinite(self.range)):
             raise ConfigError("V amplitude and range must be finite")
         if self.family == "tabulated":
@@ -117,6 +120,7 @@ class ExternalField:
     def __post_init__(self):
         if self.family not in W_FAMILIES:
             raise ConfigError(f"unknown W family {self.family!r}")
+        _coerce(self, amplitude=float, range=float)
         if not (math.isfinite(self.amplitude) and math.isfinite(self.range)):
             raise ConfigError("W amplitude and range must be finite")
         if self.dimensionality not in W_DIMENSIONALITIES:
@@ -174,13 +178,15 @@ class PhysicalModel:
     h_values: tuple = ()
 
     def __post_init__(self):
+        _coerce(self, mu=float, h_values=lambda hs: tuple(float(h) for h in hs))
         if not math.isfinite(self.mu):
             raise ConfigError("mu must be finite")
-        hs = tuple(float(h) for h in self.h_values)
-        for h in hs:
-            if not (0.0 < h < 1.0):
-                raise ConfigError("each h value must lie in (0, 1)")
-        object.__setattr__(self, "h_values", hs)
+        if not all(0.0 < h < 1.0 for h in self.h_values):
+            raise ConfigError("each h value must lie in (0, 1)")
+
+
+# numerics.tolerances: each configuration key and the Numerics field it sets
+TOLERANCES = {"beta_c_rel": "beta_c_rel_tol", "gap_tol": "gap_tol"}
 
 
 @dataclass(frozen=True)
@@ -199,17 +205,19 @@ class Numerics:
 
     def __post_init__(self):
         """Reject values the solvers cannot run with; the messages name configuration keys."""
+        _coerce(
+            self, n_r=int, n_p=int, beta_bracket=tuple, beta_c_rel_tol=float, gap_tol=float,
+            n_points=int,
+        )
         lo, hi = self.beta_bracket if len(self.beta_bracket) == 2 else (0.0, 0.0)
         if not (_positive(lo) and _positive(hi) and lo < hi):
             raise ConfigError("beta_bracket must be an increasing pair of positive numbers")
-        for key, value in (
-            ("tolerances.beta_c_rel", self.beta_c_rel_tol),
-            ("tolerances.gap_tol", self.gap_tol),
-        ):
-            if not _positive(value):
-                raise ConfigError(f"{key} must be positive")
-        if self.n_points < 100:
-            raise ConfigError("n_points must be at least 100")
+        for key, name in TOLERANCES.items():
+            if not _positive(getattr(self, name)):
+                raise ConfigError(f"tolerances.{key} must be positive")
+        for key, least in (("n_r", 8), ("n_p", 8), ("n_points", 100)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be at least {least}")
         for key, value in (
             ("r_max", self.r_max),
             ("p_max", self.p_max),
@@ -338,107 +346,82 @@ def _positive(x) -> bool:
     return math.isfinite(x) and x > 0
 
 
+def _coerce(obj, **casts) -> None:
+    """Replace each named field of the frozen dataclass ``obj`` by ``cast(value)``."""
+    for name, cast in casts.items():
+        object.__setattr__(obj, name, cast(getattr(obj, name)))
+
+
 def _plain(value):
-    """``value`` as JSON would hold it."""
+    """``value`` as JSON holds it; a dataclass becomes the object of its fields."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, np.ndarray):
         return value.tolist()
-    return list(value) if isinstance(value, tuple) else value
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
-def _require(d: dict, key: str, ctx: str):
-    if key not in d:
-        raise ConfigError(f"missing key {key!r} in {ctx}")
-    return d[key]
+def _entry(value, name: str, keys) -> dict:
+    """Configuration object ``value`` at dotted path ``name``; every key must be in ``keys``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name or 'configuration'} must be a JSON object")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"unknown configuration key {f'{name}.{key}' if name else key!r}")
+    return dict(value)
+
+
+def _kwargs(cls, value, name: str, nested=()) -> dict:
+    """``cls``'s keyword arguments from the object ``value``, keyed by field name.
+
+    The keys may also be ``nested`` objects, which the caller pops; an absent key
+    takes its field default, and a field without one is required.
+    """
+    kwargs = _entry(value, name, [f.name for f in fields(cls)] + list(nested))
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING:
+            raise ConfigError(f"missing key {f.name!r} in {name or 'configuration'}")
+    return kwargs
 
 
 def model_from_dict(cfg: dict) -> tuple[PhysicalModel, Numerics]:
     """Build a model and numerics block from a parsed configuration mapping."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("configuration must be a JSON object")
-    vd = _require(cfg, "V", "config")
-    wd = _require(cfg, "W", "config")
+    top = _kwargs(PhysicalModel, cfg, "", nested=("numerics",))
+    nd = _entry(
+        top.pop("numerics", {}),
+        "numerics",
+        [f.name for f in fields(Numerics) if f.name not in TOLERANCES.values()] + ["tolerances"],
+    )
+    tol = _entry(nd.pop("tolerances", {}), "numerics.tolerances", TOLERANCES)
+    nd.update((TOLERANCES[key], value) for key, value in tol.items())
+    V = _kwargs(InteractionPotential, top.pop("V"), "V")
+    W = _kwargs(ExternalField, top.pop("W"), "W")
     try:
-        V = InteractionPotential(
-            family=_require(vd, "family", "V"),
-            amplitude=float(vd.get("amplitude", 1.0)),
-            range=float(vd.get("range", 1.0)),
-            table=vd.get("table"),
-        )
-        W = ExternalField(
-            family=_require(wd, "family", "W"),
-            amplitude=float(wd.get("amplitude", 0.0)),
-            range=float(wd.get("range", 1.0)),
-            dimensionality=wd.get("dimensionality", "radial_3d"),
-            table=wd.get("table"),
-        )
-        model = PhysicalModel(
-            V=V,
-            W=W,
-            mu=float(_require(cfg, "mu", "config")),
-            h_values=tuple(cfg.get("h_values", ())),
-        )
+        model = PhysicalModel(V=InteractionPotential(**V), W=ExternalField(**W), **top)
+        return model, Numerics(**nd)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed configuration: {exc}") from exc
-
-    nd = cfg.get("numerics", {})
-    tol = nd.get("tolerances", {})
-    try:
-        numerics = Numerics(
-            r_max=nd.get("r_max"),
-            p_max=nd.get("p_max"),
-            n_r=int(nd.get("n_r", 400)),
-            n_p=int(nd.get("n_p", 400)),
-            beta_bracket=tuple(nd.get("beta_bracket", (0.1, 100.0))),
-            beta_c_rel_tol=float(tol.get("beta_c_rel", 1e-8)),
-            gap_tol=float(tol.get("gap_tol", 1e-6)),
-            domain_radius=nd.get("domain_radius"),
-            n_points=int(nd.get("n_points", 2000)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed numerics block: {exc}") from exc
-    _reject_unknown_keys(cfg, model_to_dict(model, numerics))
-    return model, numerics
-
-
-def _reject_unknown_keys(cfg: dict, known: dict, prefix: str = "") -> None:
-    """Raise on a key of ``cfg`` that ``known`` (a ``model_to_dict`` mapping) lacks."""
-    for key, value in cfg.items():
-        if key not in known:
-            raise ConfigError(f"unknown configuration key {prefix + key!r}")
-        if isinstance(value, dict) and isinstance(known[key], dict):
-            _reject_unknown_keys(value, known[key], f"{prefix}{key}.")
 
 
 def model_to_dict(model: PhysicalModel, numerics: Numerics) -> dict:
     """The configuration mapping that ``model_from_dict`` reads back as (model, numerics)."""
-    n = numerics
-    return {
-        "V": {f.name: _plain(getattr(model.V, f.name)) for f in fields(model.V)},
-        "W": {f.name: _plain(getattr(model.W, f.name)) for f in fields(model.W)},
-        "mu": model.mu,
-        "h_values": list(model.h_values),
-        "numerics": {
-            "r_max": n.r_max,
-            "p_max": n.p_max,
-            "n_r": n.n_r,
-            "n_p": n.n_p,
-            "beta_bracket": list(n.beta_bracket),
-            "domain_radius": n.domain_radius,
-            "n_points": n.n_points,
-            "tolerances": {
-                "beta_c_rel": n.beta_c_rel_tol,
-                "gap_tol": n.gap_tol,
-            },
-        },
-    }
+    nd = _plain(numerics)
+    nd["tolerances"] = {key: nd.pop(name) for key, name in TOLERANCES.items()}
+    return {**_plain(model), "numerics": nd}
 
 
-def load_config(path) -> tuple[PhysicalModel, Numerics]:
+def read_config(path) -> dict:
+    """The parsed JSON of configuration file ``path``."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return model_from_dict(cfg)
+
+
+def load_config(path) -> tuple[PhysicalModel, Numerics]:
+    return model_from_dict(read_config(path))

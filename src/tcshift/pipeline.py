@@ -24,6 +24,7 @@ from .checks import Artifacts, CheckResult, run_identity_checks
 from .errors import AssumptionViolation, ConfigError
 from .gl import compute_lambdas, compute_t
 from .model import (
+    TOLERANCES,
     ExternalField,
     Numerics,
     PhysicalModel,
@@ -149,14 +150,10 @@ def _config_entry(old, new, entry):
 
     A V or W entry keeps the spelling of every member that did not change.
     """
-    if not dataclasses.is_dataclass(new):
-        return _plain(new)
-    entry = dict(entry or {})
-    for f in dataclasses.fields(new):
-        value = _plain(getattr(new, f.name))
-        if value != _plain(getattr(old, f.name)):
-            entry[f.name] = value
-    return entry
+    old, new = _plain(old), _plain(new)
+    if not isinstance(new, dict):
+        return new
+    return {**(entry or {}), **{key: value for key, value in new.items() if value != old[key]}}
 
 
 class Pipeline:
@@ -252,10 +249,7 @@ class Pipeline:
     def ground_state(self):
         def build():
             problem = EffectiveProblem.from_gl(
-                self.gl(),
-                self.model.W,
-                domain_radius=self.numerics.domain_radius,
-                n_points=self.numerics.n_points,
+                self.gl(), self.model.W, self.numerics.domain_radius, self.numerics.n_points
             )
             return ground_energy(problem)
 
@@ -293,26 +287,9 @@ class Pipeline:
         verbs = VERBS[: VERBS.index(upto) + 1]
 
         validation = self.validation()
-        tc_d = gl_d = gs = gs_d = shift_d = None
-        checks: list[CheckResult] = []
-        if "tc" in verbs:
-            tcrit = self.tc()
-            tc_d = {
-                "beta_c": tcrit.beta_c,
-                "T_c": tcrit.T_c,
-                "bracket": list(tcrit.bracket),
-                "tolerance": tcrit.tolerance,
-            }
-        if "gl" in verbs:
-            gl = self.gl()
-            gl_d = {
-                "beta_c": gl.beta_c,
-                "T_c": gl.T_c,
-                "lambda0": gl.lambda0,
-                "lambda1": gl.lambda1,
-                "lambda2": gl.lambda2,
-                "gap": gl.gap,
-            }
+        tcrit = self.tc() if "tc" in verbs else None
+        gl = self.gl() if "gl" in verbs else None
+        gs = gs_d = None
         if "dc" in verbs:
             gs = self.ground_state()
             gs_d = {
@@ -322,16 +299,8 @@ class Pipeline:
                 "essential_bottom": gs.essential_bottom,
                 "D_c": self.dc(),
             }
-        if "shift" in verbs:
-            rep = self.shift()
-            shift_d = {
-                "D_c": rep.D_c,
-                "T_c": rep.T_c,
-                "rows": [[h, t] for h, t in rep.rows],
-                "warnings": list(rep.warnings),
-            }
-        if "verify" in verbs:
-            checks = self.checks()
+        shift = self.shift() if "shift" in verbs else None
+        checks = self.checks() if "verify" in verbs else []
 
         grids = self.grids() if "tc" in verbs else None
         solver = self.solver() if "tc" in verbs else None
@@ -351,10 +320,7 @@ class Pipeline:
                 if grids is not None
                 else {}
             ),
-            tolerances={
-                "beta_c_rel": self.numerics.beta_c_rel_tol,
-                "gap_tol": self.numerics.gap_tol,
-            },
+            tolerances={key: getattr(self.numerics, name) for key, name in TOLERANCES.items()},
             cache_hits=self.cache_hits,
             solver_rank=solver.rank if solver else None,
             lambda_truncation_bound=solver.lambda_bound(tcrit.beta_c) if solver else None,
@@ -362,12 +328,12 @@ class Pipeline:
         )
         return ResultBundle(
             manifest=manifest,
-            validation=[dataclasses.asdict(i) for i in validation.items],
-            tc=tc_d,
-            gl=gl_d,
+            validation=_plain(validation.items),
+            tc=_plain(tcrit),
+            gl=_plain(gl),
             ground_state=gs_d,
-            shift=shift_d,
-            checks=[dataclasses.asdict(c) for c in checks],
+            shift=_plain(shift),
+            checks=_plain(checks),
         )
 
 
@@ -386,6 +352,8 @@ def sweep(cfg: dict, axis: str, values, threads: int = 1) -> list[dict]:
             raise ConfigError("sweep values must be finite")
 
     base_model, base_numerics = model_from_dict(cfg)
+    if axis == "v_amplitude" and base_model.V.family == "tabulated":
+        raise ConfigError("v_amplitude: a tabulated V ignores its amplitude")
     base = Pipeline(base_model, base_numerics, cfg)
 
     def run_point(value: float) -> dict:

@@ -36,7 +36,7 @@ class EffectiveProblem:
     coupling: float
     W: ExternalField
     domain_radius: float
-    n_points: int = 2000
+    n_points: int
 
     def __post_init__(self):
         if not math.isfinite(self.coupling):
@@ -47,7 +47,8 @@ class EffectiveProblem:
             raise ValueError("domain_radius must be positive")
 
     @classmethod
-    def from_gl(cls, gl: GlCoefficients, W: ExternalField, domain_radius=None, n_points=2000):
+    def from_gl(cls, gl: GlCoefficients, W: ExternalField, domain_radius, n_points: int):
+        """The problem at coupling lambda1/lambda0; ``domain_radius`` None takes the default."""
         coupling = gl.lambda1 / gl.lambda0
         if domain_radius is None:
             domain_radius = default_domain_radius(coupling, W)

@@ -228,7 +228,8 @@ def test_c09_effective_schrodinger_oracle():
     gl = GlCoefficients(
         beta_c=8.0, T_c=0.125, lambda0=2.0, lambda1=-0.8, lambda2=0.5, gap=0.5
     )
-    gs0 = ground_energy(EffectiveProblem.from_gl(gl, ExternalField(family="zero"), n_points=400))
+    zero = ExternalField(family="zero")
+    gs0 = ground_energy(EffectiveProblem.from_gl(gl, zero, domain_radius=None, n_points=400))
     assert compute_dc(gl, gs0) == 0.0
     table = tc_of_h(gl, compute_dc(gl, gs0), [0.01, 0.05, 0.2])
     assert all(t == gl.T_c for _, t in table.rows)

@@ -41,3 +41,10 @@ def test_every_eigensolver_resolves(tracer):
         if not callable(getattr(importlib.import_module(modname), attr, None))
     ]
     assert missing == []
+
+
+def test_every_stage_is_traced(tracer):
+    # a stage missing from the tracer's list would get no self-time span
+    from tcshift.pipeline import STAGES
+
+    assert set(tracer.STAGES) == set(STAGES)

@@ -141,8 +141,8 @@ class TestSolveBetaC:
         assert abs(lam - 1.0) <= 10.0 * tc.tolerance * tc.beta_c * abs(slope)
 
     def test_deterministic_rerun(self, model, grids, numerics):
-        a = BsSolver(model, grids).solve_beta_c(rel_tol=1e-10)
-        b = BsSolver(model, grids).solve_beta_c(rel_tol=1e-10)
+        a = BsSolver(model, grids).solve_beta_c(numerics.beta_bracket, 1e-10)
+        b = BsSolver(model, grids).solve_beta_c(numerics.beta_bracket, 1e-10)
         assert a.beta_c == b.beta_c
 
     def test_stronger_coupling_lowers_beta_c(self, grids, tc):

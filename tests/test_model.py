@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +17,11 @@ from tcshift.model import (
     PhysicalModel,
     load_config,
     model_from_dict,
+    model_to_dict,
     validate_assumptions,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def make_model(v_amp=2.0, w_family="zero", w_amp=0.0, mu=1.0):
@@ -213,3 +218,28 @@ class TestConfigIO:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.json")
+
+
+def dotted_keys(mapping, prefix=""):
+    keys = set()
+    for key, value in mapping.items():
+        keys.add(prefix + key)
+        if isinstance(value, dict):
+            keys |= dotted_keys(value, f"{prefix}{key}.")
+    return keys
+
+
+def test_readme_schema_names_the_config_keys():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("### Configuration schema", 1)[1].split("```jsonc", 1)[1].split("```")[0]
+    # the block is JSON with comments and placeholders: walk its keys and braces
+    prefixes, keys, last = [], set(), ""
+    for key, brace in re.findall(r'"(\w+)"\s*:|([{}])', block):
+        if key:
+            last = prefixes[-1] + key
+            keys.add(last)
+        elif brace == "{":
+            prefixes.append(last + "." if last else "")
+        else:
+            prefixes.pop()
+    assert keys == dotted_keys(model_to_dict(*load_config(ROOT / "configs" / "gaussian.json")))

@@ -387,6 +387,8 @@ class TestCli:
             (None, "beta_bracket", [0.1, math.inf]),
             (None, "domain_radius", -5.0),
             (None, "n_points", 50),
+            (None, "n_r", 4),
+            (None, "n_p", -3),
             (None, "r_max", -3.0),
             (None, "p_max", 0.0),
         ],
@@ -424,6 +426,63 @@ class TestCli:
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "ConfigError" and record["exit_code"] == 2
         assert repr(dotted) in record["message"]
+
+    @pytest.mark.parametrize(
+        "dotted, value, named",
+        [
+            ("numerics", None, "numerics"),
+            ("numerics.tolerances", [1], "numerics.tolerances"),
+            ("V", 3, "V"),
+            ("W", "x", "W"),
+            ("", [1], "configuration"),
+        ],
+    )
+    def test_non_object_entry_exit_2(self, tmp_path, dotted, value, named):
+        cfg = json.loads((CONFIGS / "gaussian.json").read_text())
+        if dotted:
+            *outer, key = dotted.split(".")
+            block = cfg
+            for part in outer:
+                block = block[part]
+            block[key] = value
+        else:
+            cfg = value
+        out = tmp_path / "out"
+        code = self.run_cli("validate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out))
+        assert code == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigError" and record["exit_code"] == 2
+        assert record["message"].startswith(f"{named} must be a JSON object")
+
+    def test_unreadable_config_records_error(self, tmp_path, monkeypatch):
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json")
+        for path in (broken, tmp_path / "absent.json"):
+            out = tmp_path / f"out-{path.stem}"
+            assert self.run_cli("tc", "--config", str(path), "--out", str(out)) == 2
+            record = json.loads((out / "error.json").read_text())
+            assert record["error"] == "ConfigError" and str(path) in record["message"]
+        monkeypatch.setenv("TCSHIFT_OUT", str(tmp_path / "env"))
+        assert self.run_cli("validate", "--config", str(broken)) == 2
+        assert json.loads((tmp_path / "env" / "error.json").read_text())["exit_code"] == 2
+        # with neither --out nor $TCSHIFT_OUT the directory would be named by the config
+        monkeypatch.delenv("TCSHIFT_OUT")
+        monkeypatch.chdir(tmp_path)
+        assert self.run_cli("validate", "--config", str(broken)) == 2
+        assert not (tmp_path / "tcshift_out").exists()
+
+    def test_tabulated_v_amplitude_sweep_exit_2(self, tmp_path):
+        cfg = json.loads(json.dumps(CFG))
+        cfg["V"] = {"family": "tabulated", "table": [[0.0, 2.0], [1.5, 1.0], [3.0, 0.0]]}
+        out = tmp_path / "out"
+        code = self.run_cli(
+            "sweep", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out),
+            "--sweep-axis", "v_amplitude", "--sweep-values", "0.5,2",
+        )
+        assert code == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigError" and "v_amplitude" in record["message"]
+        assert not (out / "sweep.csv").exists()
 
     def test_weak_coupling_tc_below_search_range(self, tmp_path):
         # mu > 0 gives T_c > 0 by theorem; at this amplitude T_c lies below 1/BETA_MAX

@@ -114,7 +114,7 @@ class TestGroundEnergy:
     def test_unbound_decaying_well_reports_the_limit_at_infinity(self):
         # the Gaussian tail at the box edge (-1.4e-12 here) is not the essential bottom
         W = ExternalField(family="gaussian_well", amplitude=-0.1, range=1.0)
-        gs = ground_energy(EffectiveProblem(coupling=1.0, W=W, domain_radius=5.0))
+        gs = ground_energy(EffectiveProblem(coupling=1.0, W=W, domain_radius=5.0, n_points=2000))
         assert not gs.bound_state
         assert gs.e0 == gs.essential_bottom == 0.0
 
@@ -255,7 +255,8 @@ class TestLadder:
         R = default_domain_radius(0.37, W)
 
         def e0(coupling):
-            return ground_energy(EffectiveProblem(coupling=coupling, W=W, domain_radius=R)).e0
+            prob = EffectiveProblem(coupling=coupling, W=W, domain_radius=R, n_points=2000)
+            return ground_energy(prob).e0
 
         base = e0(0.37)
         assert base < 0.0
@@ -290,7 +291,7 @@ class TestDc:
         results = {}
         for amp in (+8.0, -8.0):
             W = ExternalField(family="gaussian_well", amplitude=amp, range=1.0)
-            prob = EffectiveProblem.from_gl(gl, W, n_points=2000)
+            prob = EffectiveProblem.from_gl(gl, W, domain_radius=None, n_points=2000)
             gs = ground_energy(prob)
             results[amp] = compute_dc(gl, gs)
         # coupling < 0: positive amplitude makes the effective well attractive
