@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,11 +160,18 @@ def build_momentum_grid(p_max: float, n_p: int, mu: float = 0.0) -> RadialGrid:
 
 @dataclass(frozen=True, eq=False)
 class GridPair:
-    """Radial and momentum grids with their read-only table j0[i, a] = j0(r_i p_a)."""
+    """Radial and momentum grids with their read-only table j0[i, a] = j0(r_i p_a).
+
+    ``shape_factors`` holds the compressed interaction factors that
+    ``birman_schwinger.BsSolver`` builds on this pair, one per shape of V,
+    and ``lock`` guards it.
+    """
 
     rgrid: RadialGrid
     pgrid: RadialGrid
     j0: np.ndarray = field(init=False, repr=False)
+    shape_factors: dict = field(init=False, repr=False, default_factory=dict)
+    lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
 
     def __post_init__(self):
         table = spherical_j0(np.outer(self.rgrid.nodes, self.pgrid.nodes))

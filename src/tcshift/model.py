@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
@@ -67,7 +68,7 @@ class InteractionPotential:
     def __post_init__(self):
         if self.family not in V_FAMILIES:
             raise ConfigError(f"unknown V family {self.family!r}")
-        _coerce(self, amplitude=float, range=float)
+        _coerce(self, "V.", amplitude=float, range=float)
         if not (math.isfinite(self.amplitude) and math.isfinite(self.range)):
             raise ConfigError("V amplitude and range must be finite")
         if self.family == "tabulated":
@@ -90,21 +91,30 @@ class InteractionPotential:
             return float(self.table[-1, 0])
         return self.range
 
-    def __call__(self, r):
+    @property
+    def gain(self) -> float:
+        """The factor V applies to its shape: the amplitude; 1 for a tabulated V, which ignores it."""
+        return 1.0 if self.family == "tabulated" else self.amplitude
+
+    def shape(self, r):
+        """The unit-amplitude profile, so that V(r) = gain * shape(r); a tabulated V's shape is its table."""
         r = np.asarray(r, dtype=float)
         if np.any(r < 0):
             raise ValueError("r must be non-negative")
         if self.family == "gaussian":
-            out = self.amplitude * np.exp(-((r / self.range) ** 2))
+            out = np.exp(-((r / self.range) ** 2))
         elif self.family == "exponential":
-            out = self.amplitude * np.exp(-r / self.range)
+            out = np.exp(-r / self.range)
         elif self.family == "square_well":
-            out = np.where(r <= self.range, self.amplitude, 0.0)
+            out = np.where(r <= self.range, 1.0, 0.0)
         else:
             if np.any(r > self.table[-1, 0]):
                 raise ValueError("r beyond the last table node")
             out = np.interp(r, self.table[:, 0], self.table[:, 1])
         return out if out.ndim else float(out)
+
+    def __call__(self, r):
+        return self.gain * self.shape(r)
 
 
 @dataclass(frozen=True)
@@ -120,7 +130,7 @@ class ExternalField:
     def __post_init__(self):
         if self.family not in W_FAMILIES:
             raise ConfigError(f"unknown W family {self.family!r}")
-        _coerce(self, amplitude=float, range=float)
+        _coerce(self, "W.", amplitude=float, range=float)
         if not (math.isfinite(self.amplitude) and math.isfinite(self.range)):
             raise ConfigError("W amplitude and range must be finite")
         if self.dimensionality not in W_DIMENSIONALITIES:
@@ -178,7 +188,7 @@ class PhysicalModel:
     h_values: tuple = ()
 
     def __post_init__(self):
-        _coerce(self, mu=float, h_values=lambda hs: tuple(float(h) for h in hs))
+        _coerce(self, "", mu=float, h_values=_reals)
         if not math.isfinite(self.mu):
             raise ConfigError("mu must be finite")
         if not all(0.0 < h < 1.0 for h in self.h_values):
@@ -206,8 +216,9 @@ class Numerics:
     def __post_init__(self):
         """Reject values the solvers cannot run with; the messages name configuration keys."""
         _coerce(
-            self, n_r=int, n_p=int, beta_bracket=tuple, beta_c_rel_tol=float, gap_tol=float,
-            n_points=int,
+            self, "numerics.", r_max=_real_or_none, p_max=_real_or_none, n_r=_count, n_p=_count,
+            beta_bracket=_reals, beta_c_rel_tol=float, gap_tol=float, domain_radius=_real_or_none,
+            n_points=_count,
         )
         lo, hi = self.beta_bracket if len(self.beta_bracket) == 2 else (0.0, 0.0)
         if not (_positive(lo) and _positive(hi) and lo < hi):
@@ -346,10 +357,38 @@ def _positive(x) -> bool:
     return math.isfinite(x) and x > 0
 
 
-def _coerce(obj, **casts) -> None:
-    """Replace each named field of the frozen dataclass ``obj`` by ``cast(value)``."""
+def _count(value) -> int:
+    """An integral count: an int, or a float with an integral value; never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool):
+        raise TypeError("a count cannot be a boolean")
+    return operator.index(value)
+
+
+def _real_or_none(value) -> Optional[float]:
+    return None if value is None else float(value)
+
+
+def _reals(values) -> tuple:
+    if isinstance(values, str):
+        raise TypeError("a list of numbers is expected, not a string")
+    return tuple(float(v) for v in values)
+
+
+def _coerce(obj, prefix: str, **casts) -> None:
+    """Replace each named field of the frozen dataclass ``obj`` by ``cast(value)``.
+
+    A value the cast refuses raises a ConfigError naming its configuration
+    key: ``prefix`` and the field name, or its ``tolerances`` key.
+    """
     for name, cast in casts.items():
-        object.__setattr__(obj, name, cast(getattr(obj, name)))
+        value = getattr(obj, name)
+        try:
+            object.__setattr__(obj, name, cast(value))
+        except (TypeError, ValueError, OverflowError) as exc:
+            keys = {attr: f"tolerances.{key}" for key, attr in TOLERANCES.items()}
+            raise ConfigError(f"{prefix}{keys.get(name, name)} cannot be {value!r}: {exc}") from exc
 
 
 def _plain(value):

@@ -109,8 +109,12 @@ class ResultBundle:
 # stages it uses.  Entries come after every stage they use.  ``validation``
 # is a precondition that ``tc`` checks, not an input, so a new W keeps the
 # coefficients (W enters only the effective operator p^2 + (lambda1/lambda0) W).
+# ``V.shape`` is V but for its gain: a change that moves only the amplitude
+# of a parametric V is ``V.amplitude``, which reaches the readers of ``V``
+# but not those of ``V.shape`` (a new solver on kept grids shares the
+# compressed shape factor; see ``BsSolver``).
 STAGES = {
-    "grids": (("V", "mu"), ()),
+    "grids": (("V.shape", "mu"), ()),
     "solver": (("V", "mu"), ("grids",)),
     "validation": (("V", "W", "mu"), ("solver",)),
     "tc": ((), ("solver",)),
@@ -123,17 +127,42 @@ STAGES = {
     "checks": (("V", "mu"), ("solver", "tc", "pair_top", "t_profile", "gl")),
 }
 
+_READ_PATHS = {path for reads, _ in STAGES.values() for path in reads}
+
 # CLI verbs in prefix order: each verb also runs every verb before it.
 VERBS = ("validate", "tc", "gl", "dc", "shift", "verify")
 
 
+def _touches(change: str, read: str) -> bool:
+    """Whether a change of model path ``change`` moves what path ``read`` reads.
+
+    ``V`` touches ``V.shape`` and ``V.amplitude``; those two leave each other alone.
+    """
+    return change == read or read.startswith(change + ".") or change.startswith(read + ".")
+
+
 def stages_reading(fields) -> set:
-    """Stages that read any of ``fields``, directly or through a stage they use."""
-    fields, reached = set(fields), set()
+    """Stages that read any of the model paths ``fields``, directly or through a stage they use."""
+    touched = {r for r in _READ_PATHS if any(_touches(f, r) for f in fields)}
+    reached = set()
     for name, (reads, uses) in STAGES.items():
-        if fields.intersection(reads) or reached.intersection(uses):
+        if touched.intersection(reads) or reached.intersection(uses):
             reached.add(name)
     return reached
+
+
+def _changed_paths(model: PhysicalModel, changes: dict) -> set:
+    """The model paths that ``dataclasses.replace(model, **changes)`` moves.
+
+    A V that differs from ``model.V`` at most in the amplitude of a
+    parametric family is ``V.amplitude``; every other change is its field.
+    """
+    paths = set(changes)
+    if "V" in changes and model.V.family != "tabulated":
+        old, new = _plain(model.V), _plain(changes["V"])
+        if all(old[key] == new[key] for key in old if key != "amplitude"):
+            paths = paths - {"V"} | {"V.amplitude"}
+    return paths
 
 
 def stages_used(stage: str) -> set:
@@ -191,7 +220,7 @@ class Pipeline:
         for name in model_changes:
             cfg[name] = _config_entry(getattr(self.model, name), getattr(model, name), cfg.get(name))
         clone = Pipeline(model, self.numerics, cfg)
-        stale = stages_reading(model_changes)
+        stale = stages_reading(_changed_paths(self.model, model_changes))
         clone._cache.update((k, v) for k, v in self._cache.items() if k not in stale)
         return clone
 
@@ -378,9 +407,12 @@ def sweep(cfg: dict, axis: str, values, threads: int = 1) -> list[dict]:
             row["error"] = f"{type(exc).__name__}: {exc}"
         return row
 
-    # warm the stages no point can change once, so every point reuses them; a
-    # failure here is left for the points to meet and record in their rows
-    shared = stages_used("shift") - stages_reading([field_name])
+    # warm the stages no point can change once, so every point reuses them and
+    # pool threads never race to build them; a failure here is left for the
+    # points to meet and record in their rows.  A v_amplitude point moves only
+    # the amplitude of a parametric V (a tabulated V is refused above).
+    moved = "V.amplitude" if axis == "v_amplitude" else field_name
+    shared = stages_used("shift") - stages_reading([moved])
     try:
         for name in STAGES:
             if name in shared:

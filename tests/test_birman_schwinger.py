@@ -1,4 +1,4 @@
-"""Spectral solver tests: monotonicity, linearity, bisection certificates."""
+"""Spectral solver tests: monotonicity, linearity, bracket certificates."""
 
 import dataclasses
 import math
@@ -24,8 +24,11 @@ from tcshift.model import (
     PhysicalModel,
     load_config,
 )
+from tcshift.pipeline import Pipeline
 
 from conftest import default_model
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def scaled_model(c):
@@ -149,6 +152,43 @@ class TestSolveBetaC:
         tc2 = BsSolver(scaled_model(2.0), grids).solve_beta_c((0.1, 100.0), 1e-8)
         assert tc2.beta_c < tc.beta_c
 
+    @pytest.mark.parametrize(
+        "mu, amplitude, expands",
+        [
+            (1.0, 1.0, True),  # lambda(100) < 1: the hint's top end expands
+            (-0.5, 8.0, False),  # mu <= 0: chi is bounded, T_c > 0 only from this coupling on
+            (0.0, 4.0, False),
+        ],
+    )
+    def test_bracket_certified(self, mu, amplitude, expands):
+        m = dataclasses.replace(
+            default_model(), mu=mu, V=InteractionPotential(family="gaussian", amplitude=amplitude)
+        )
+        num = Numerics(n_r=192, n_p=192)
+        s = BsSolver(m, num.build_grids(m))
+        assert (s.lambda_of(num.beta_bracket[1]) < 1.0) == expands
+        tc = s.solve_beta_c(num.beta_bracket, num.beta_c_rel_tol)
+        lo, hi = tc.bracket
+        assert s.lambda_of(lo) < 1.0 < s.lambda_of(hi)
+        assert hi - lo <= num.beta_c_rel_tol * 0.5 * (hi + lo)
+        assert lo < tc.beta_c < hi
+
+    def test_tc_stage_needs_few_lambda_evaluations(self, monkeypatch):
+        # bisection from the default hint to 1e-8 takes 33 evaluations
+        model, num = load_config(CONFIGS / "gaussian.json")
+        p = Pipeline(model, num)
+        p.validation()
+        seen = set()
+        lambda_of = BsSolver.lambda_of
+
+        def counted(solver, beta):
+            seen.add((id(solver), beta))
+            return lambda_of(solver, beta)
+
+        monkeypatch.setattr(BsSolver, "lambda_of", counted)
+        p.tc()
+        assert len(seen) <= 12
+
     def test_no_bracket_raises(self, grids):
         m = PhysicalModel(
             V=InteractionPotential(family="gaussian", amplitude=1e-6, range=1.0),
@@ -234,21 +274,16 @@ class TestCompression:
             slack = 8 * np.spacing(dense)
             assert abs(solver.lambda_of(beta) - dense) <= solver.lambda_bound(beta) + slack
 
-    def test_beta_c_matches_dense_bisection_bitwise(self):
-        model, num = load_config(Path(__file__).resolve().parents[1] / "configs" / "gaussian.json")
+    def test_beta_c_bracket_certified_on_dense_matrix(self):
+        model, num = load_config(CONFIGS / "gaussian.json")
         num = Numerics(n_r=192, n_p=192, beta_bracket=num.beta_bracket, beta_c_rel_tol=num.beta_c_rel_tol)
         s = BsSolver(model, num.build_grids(model))
-        lo, hi = num.beta_bracket
-        assert dense_lambda(s, lo) < 1.0 < dense_lambda(s, hi)  # no bracket expansion needed
-        while hi - lo > num.beta_c_rel_tol * 0.5 * (hi + lo):
-            mid = 0.5 * (lo + hi)
-            if dense_lambda(s, mid) < 1.0:
-                lo = mid
-            else:
-                hi = mid
         tc = s.solve_beta_c(num.beta_bracket, num.beta_c_rel_tol)
-        assert tc.beta_c == 0.5 * (lo + hi)
-        assert tc.bracket == (lo, hi)
+        lo, hi = tc.bracket
+        # the signs hold on the uncompressed matrix, not only on the k x k problem
+        assert dense_lambda(s, lo) < 1.0 < dense_lambda(s, hi)
+        assert hi - lo <= num.beta_c_rel_tol * 0.5 * (hi + lo)
+        assert lo < tc.beta_c < hi
 
     def test_top_vector_matches_dense(self, model):
         num = Numerics(n_r=192, n_p=192)

@@ -123,7 +123,7 @@ class TestPipeline:
             "h": every - {"shift"},
             "w_amplitude": {"grids", "solver", "tc", "pair_top", "t_profile", "gl", "checks"},
             "mu": set(),
-            "v_amplitude": set(),
+            "v_amplitude": {"grids"},
         }
         for axis, kept in keeps.items():
             field_name, field_value = SWEEP_AXES[axis]
@@ -336,10 +336,31 @@ class TestSweep:
             assert r["error"].startswith("DomainTooSmall"), r["error"]
             assert math.isfinite(r["beta_c"]) and math.isnan(r["e0"])
 
+    def test_v_amplitude_sweep_compresses_once(self, monkeypatch):
+        import tcshift.birman_schwinger as bs
+
+        built, compressed = [], []
+        post_init, compress = GridPair.__post_init__, bs._compress
+
+        def counted(pair):
+            built.append(pair)
+            post_init(pair)
+
+        def counted_compress(G):
+            compressed.append(G.shape)
+            return compress(G)
+
+        monkeypatch.setattr(GridPair, "__post_init__", counted)
+        monkeypatch.setattr(bs, "_compress", counted_compress)
+        rows = sweep(CFG, "v_amplitude", [1.5 + 0.25 * k for k in range(8)])
+        assert all(r["error"] == "" for r in rows)
+        assert len(built) == len(compressed) == 1
+
     def test_threads_match_serial(self):
-        serial = sweep(CFG, "h", [0.01, 0.02])
-        threaded = sweep(CFG, "h", [0.01, 0.02], threads=2)
-        assert serial == threaded
+        for axis, values in (("h", [0.01, 0.02]), ("v_amplitude", [2.0, 2.5, 3.0])):
+            serial = sweep(CFG, axis, values)
+            threaded = sweep(CFG, axis, values, threads=2)
+            assert serial == threaded, axis
 
 
 class TestCli:
@@ -453,6 +474,33 @@ class TestCli:
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "ConfigError" and record["exit_code"] == 2
         assert record["message"].startswith(f"{named} must be a JSON object")
+
+    @pytest.mark.parametrize(
+        "dotted, value",
+        [
+            ("numerics.n_r", 400.7),
+            ("numerics.n_r", True),
+            ("numerics.n_r", "x"),
+            ("numerics.r_max", "x"),
+            ("numerics.beta_bracket", 5),
+            ("numerics.tolerances.beta_c_rel", "x"),
+            ("h_values", 3),
+        ],
+    )
+    def test_wrongly_typed_value_exit_2(self, tmp_path, dotted, value):
+        # a count must be integral, and the message names the key it read
+        cfg = json.loads((CONFIGS / "gaussian.json").read_text())
+        *outer, key = dotted.split(".")
+        block = cfg
+        for part in outer:
+            block = block[part]
+        block[key] = value
+        out = tmp_path / "out"
+        code = self.run_cli("validate", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out))
+        assert code == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigError" and record["exit_code"] == 2
+        assert record["message"].startswith(f"{dotted} cannot be {value!r}")
 
     def test_unreadable_config_records_error(self, tmp_path, monkeypatch):
         broken = tmp_path / "broken.json"
