@@ -65,27 +65,27 @@ def resolve_out_dir(arg_out, cfg: dict | None) -> Path | None:
     return None if cfg is None else Path("tcshift_out") / config_digest(cfg)[:12]
 
 
-def _print_summary(bundle) -> None:
-    if bundle.tc:
-        print(f"beta_c = {bundle.tc['beta_c']:.12g}   T_c = {bundle.tc['T_c']:.12g}")
-    if bundle.gl:
-        g = bundle.gl
+def _print_summary(result: dict) -> None:
+    if result["tc"]:
+        print(f"beta_c = {result['tc']['beta_c']:.12g}   T_c = {result['tc']['T_c']:.12g}")
+    if result["gl"]:
+        g = result["gl"]
         print(
             f"lambda0 = {g['lambda0']:.12g}   lambda1 = {g['lambda1']:.12g}   "
             f"lambda2 = {g['lambda2']:.12g}"
         )
-    if bundle.ground_state:
-        gs = bundle.ground_state
+    if result["ground_state"]:
+        gs = result["ground_state"]
         print(f"e0 = {gs['e0']:.12g}   D_c = {gs['D_c']:.12g}")
-    if bundle.shift:
-        for h, t in bundle.shift["rows"]:
+    if result["shift"]:
+        for h, t in result["shift"]["rows"]:
             print(f"h = {h:<10g} T_c(h) = {t:.12g}")
-        for w in bundle.shift["warnings"]:
+        for w in result["shift"]["warnings"]:
             print(f"warning: {w}", file=sys.stderr)
-    if bundle.checks:
-        n_pass = sum(1 for c in bundle.checks if c["passed"])
-        print(f"identity checks: {n_pass}/{len(bundle.checks)} passed")
-        for c in bundle.checks:
+    if result["checks"]:
+        n_pass = sum(1 for c in result["checks"] if c["passed"])
+        print(f"identity checks: {n_pass}/{len(result['checks'])} passed")
+        for c in result["checks"]:
             if not c["passed"]:
                 print(
                     f"  FAIL {c['id']}: measured {c['measured']:.6g} "
@@ -124,16 +124,15 @@ def main(argv=None) -> int:
             return 0 if not errors else 1
 
         model, numerics = model_from_dict(cfg)
-        pipe = Pipeline(model, numerics, cfg)
-        bundle = pipe.bundle(args.verb)
-        emit(bundle, out_dir, args.format)
-        _print_summary(bundle)
+        result, diagnostics = Pipeline(model, numerics, cfg).bundle(args.verb)
+        emit(result, diagnostics, out_dir, args.format)
+        _print_summary(result)
         print(f"results in {out_dir}")
-        if args.verb == "validate" and not all(i["passed"] for i in bundle.validation):
+        # a failed validation reaches here only from validate: tc raises on it
+        if not all(i["passed"] for i in result["validation"]):
             return 3
-        if args.verb == "verify" and not bundle.all_checks_passed:
-            return 1
-        return 0
+        # checks is empty below verify
+        return 0 if all(c["passed"] for c in result["checks"]) else 1
     except ToolError as exc:
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)

@@ -253,10 +253,10 @@ class Numerics:
             return float(self.p_max)
         return max(8.0, 6.0 * math.sqrt(max(model.mu, 1.0)))
 
-    def build_grids(self, model: PhysicalModel, scale: int = 1) -> GridPair:
-        """Grid pair at ``scale`` times the configured resolution."""
-        rg = build_radial_grid(self.resolved_r_max(model), scale * self.n_r)
-        pg = build_momentum_grid(self.resolved_p_max(model), scale * self.n_p, model.mu)
+    def build_grids(self, model: PhysicalModel) -> GridPair:
+        """Grid pair at the configured resolution."""
+        rg = build_radial_grid(self.resolved_r_max(model), self.n_r)
+        pg = build_momentum_grid(self.resolved_p_max(model), self.n_p, model.mu)
         return GridPair(rg, pg)
 
 

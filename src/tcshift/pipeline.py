@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,8 +36,6 @@ from .schrodinger import EffectiveProblem, TcShiftReport, compute_dc, ground_ene
 
 __all__ = [
     "Pipeline",
-    "ResultBundle",
-    "RunManifest",
     "sweep",
     "emit",
     "config_digest",
@@ -60,49 +57,6 @@ def config_digest(cfg: dict) -> str:
     """Order-independent digest of a parsed configuration mapping."""
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-@dataclass
-class RunManifest:
-    config_digest: str
-    tool_version: str
-    started_at: str
-    finished_at: str
-    grids: dict
-    tolerances: dict
-    cache_hits: int = 0  # stage results this pipeline served from its own cache
-    solver_rank: int | None = None  # k of the compressed Birman-Schwinger factor
-    lambda_truncation_bound: float | None = None  # Weyl bound on lambda(beta_c) from it
-    ground_state_ladder: dict | None = None  # schrodinger.LadderStats of the ground_state stage
-
-    def reproducible(self) -> dict:
-        """The fields identical configurations reproduce: no timestamps, no solver diagnostics."""
-        d = dataclasses.asdict(self)
-        for key in (
-            "started_at",
-            "finished_at",
-            "cache_hits",
-            "solver_rank",
-            "lambda_truncation_bound",
-            "ground_state_ladder",
-        ):
-            d.pop(key)
-        return d
-
-
-@dataclass
-class ResultBundle:
-    manifest: RunManifest
-    validation: list
-    tc: dict | None = None
-    gl: dict | None = None
-    ground_state: dict | None = None
-    shift: dict | None = None
-    checks: list = field(default_factory=list)
-
-    @property
-    def all_checks_passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
 
 
 # Direct inputs of each stage: the PhysicalModel fields it reads and the
@@ -129,8 +83,39 @@ STAGES = {
 
 _READ_PATHS = {path for reads, _ in STAGES.values() for path in reads}
 
-# CLI verbs in prefix order: each verb also runs every verb before it.
-VERBS = ("validate", "tc", "gl", "dc", "shift", "verify")
+
+def _tc_section(p: "Pipeline", manifest: dict, diagnostics: dict) -> dict:
+    tcrit, grids, solver = p.tc(), p.grids(), p.solver()
+    manifest["grids"] = {
+        "n_r": len(grids.rgrid),
+        "n_p": len(grids.pgrid),
+        "r_max": grids.rgrid.r_max,
+        "p_max": grids.pgrid.r_max,
+    }
+    diagnostics["solver_rank"] = solver.rank  # k of the compressed Birman-Schwinger factor
+    # Weyl bound on lambda(beta_c) from that compression
+    diagnostics["lambda_truncation_bound"] = solver.lambda_bound(tcrit.beta_c)
+    return _plain(tcrit)
+
+
+def _ground_state_section(p: "Pipeline", manifest: dict, diagnostics: dict) -> dict:
+    section = _plain(p.ground_state())
+    diagnostics["ground_state_ladder"] = section.pop("ladder")  # schrodinger.LadderStats
+    return {**section, "D_c": p.dc()}
+
+
+# CLI verbs in prefix order (each verb also runs every verb before it), the
+# result.json section each adds and its builder.  A builder reads the
+# pipeline's stages and may add reproducible facts to the run's manifest and
+# manifest.json-only diagnostics.
+VERBS = {
+    "validate": ("validation", lambda p, *_: _plain(p.validation().items)),
+    "tc": ("tc", _tc_section),
+    "gl": ("gl", lambda p, *_: _plain(p.gl())),
+    "dc": ("ground_state", _ground_state_section),
+    "shift": ("shift", lambda p, *_: _plain(p.shift())),
+    "verify": ("checks", lambda p, *_: _plain(p.checks())),
+}
 
 
 def _touches(change: str, read: str) -> bool:
@@ -308,62 +293,38 @@ class Pipeline:
 
     # --- bundling -------------------------------------------------------------
 
-    def bundle(self, upto: str = "shift") -> ResultBundle:
-        """Run the minimal stage prefix for the requested verb and package it."""
-        if upto not in VERBS:
-            raise ConfigError(f"unknown pipeline stage {upto!r}")
-        started = datetime.now(timezone.utc).isoformat()
-        verbs = VERBS[: VERBS.index(upto) + 1]
+    def bundle(self, verb: str = "shift") -> tuple[dict, dict]:
+        """Run the stage prefix ``verb`` needs; return ``(result, diagnostics)``.
 
-        validation = self.validation()
-        tcrit = self.tc() if "tc" in verbs else None
-        gl = self.gl() if "gl" in verbs else None
-        gs = gs_d = None
-        if "dc" in verbs:
-            gs = self.ground_state()
-            gs_d = {
-                "e0": gs.e0,
-                "bound_state": gs.bound_state,
-                "refinement_delta": gs.refinement_delta,
-                "essential_bottom": gs.essential_bottom,
-                "D_c": self.dc(),
-            }
-        shift = self.shift() if "shift" in verbs else None
-        checks = self.checks() if "verify" in verbs else []
-
-        grids = self.grids() if "tc" in verbs else None
-        solver = self.solver() if "tc" in verbs else None
-        finished = datetime.now(timezone.utc).isoformat()
-        manifest = RunManifest(
-            config_digest=config_digest(self.cfg),
-            tool_version=__version__,
-            started_at=started,
-            finished_at=finished,
-            grids=(
-                {
-                    "n_r": len(grids.rgrid),
-                    "n_p": len(grids.pgrid),
-                    "r_max": grids.rgrid.r_max,
-                    "p_max": grids.pgrid.r_max,
-                }
-                if grids is not None
-                else {}
-            ),
-            tolerances={key: getattr(self.numerics, name) for key, name in TOLERANCES.items()},
-            cache_hits=self.cache_hits,
-            solver_rank=solver.rank if solver else None,
-            lambda_truncation_bound=solver.lambda_bound(tcrit.beta_c) if solver else None,
-            ground_state_ladder=dataclasses.asdict(gs.ladder) if gs else None,
-        )
-        return ResultBundle(
-            manifest=manifest,
-            validation=_plain(validation.items),
-            tc=_plain(tcrit),
-            gl=_plain(gl),
-            ground_state=gs_d,
-            shift=_plain(shift),
-            checks=_plain(checks),
-        )
+        ``result`` is what result.json holds: every section of ``VERBS`` (those
+        of later verbs null, ``checks`` empty) and the reproducible
+        ``manifest``.  ``diagnostics`` holds what manifest.json adds to that
+        manifest: timestamps, cache hits and solver diagnostics.
+        """
+        if verb not in VERBS:
+            raise ConfigError(f"unknown pipeline stage {verb!r}")
+        manifest = {
+            "config_digest": config_digest(self.cfg),
+            "tool_version": __version__,
+            "grids": {},
+            "tolerances": {key: getattr(self.numerics, name) for key, name in TOLERANCES.items()},
+        }
+        result = {section: None for section, _ in VERBS.values()}
+        result.update(manifest=manifest, checks=[])
+        # a diagnostic of a stage the verb does not reach stays null
+        diagnostics = {
+            "started_at": datetime.now(timezone.utc).isoformat(),
+            "solver_rank": None,
+            "lambda_truncation_bound": None,
+            "ground_state_ladder": None,
+        }
+        for name, (section, build) in VERBS.items():
+            result[section] = build(self, manifest, diagnostics)
+            if name == verb:
+                break
+        diagnostics["finished_at"] = datetime.now(timezone.utc).isoformat()
+        diagnostics["cache_hits"] = self.cache_hits  # stage reads served from this cache
+        return result, diagnostics
 
 
 def sweep(cfg: dict, axis: str, values, threads: int = 1) -> list[dict]:
@@ -376,9 +337,13 @@ def sweep(cfg: dict, axis: str, values, threads: int = 1) -> list[dict]:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose one of {tuple(SWEEP_AXES)}")
     field_name, field_value = SWEEP_AXES[axis]
     values = [float(v) for v in values]
+    if not values:
+        raise ConfigError("sweep needs at least one value")
     for v in values:
         if not math.isfinite(v):
             raise ConfigError("sweep values must be finite")
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, not {threads}")
 
     base_model, base_numerics = model_from_dict(cfg)
     if axis == "v_amplitude" and base_model.V.family == "tabulated":
@@ -457,70 +422,40 @@ def _write_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def emit(bundle: ResultBundle, out_dir, fmt: str = "all") -> list[Path]:
-    """Write result.json / CSV tables / manifest.json; returns written paths.
+def emit(result: dict, diagnostics: dict, out_dir, fmt: str = "all") -> list[Path]:
+    """Write result.json / CSV tables / manifest.json from ``bundle``'s pair; returns written paths.
 
-    fmt selects "json" (nested bundle only), "csv" (flat tables only) or
-    "all".  result.json carries no timestamps, so identical configurations
-    produce byte-identical files; wall-clock data lives only in
-    manifest.json.
+    fmt selects "json" (result.json only), "csv" (flat tables only) or "all".
+    result.json carries no timestamps, so identical configurations produce
+    byte-identical files; manifest.json is result.json's ``manifest`` plus
+    the run's diagnostics, wall-clock data included.
     """
     if fmt not in ("json", "csv", "all"):
         raise ConfigError(f"unknown output format {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    if fmt in ("json", "all"):
-        result = {
-            "manifest": bundle.manifest.reproducible(),
-            "validation": bundle.validation,
-            "tc": bundle.tc,
-            "gl": bundle.gl,
-            "ground_state": bundle.ground_state,
-            "shift": bundle.shift,
-            "checks": bundle.checks,
-        }
-        p = out / "result.json"
-        p.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-        written.append(p)
-
-    p = out / "manifest.json"
-    p.write_text(json.dumps(dataclasses.asdict(bundle.manifest), indent=2, sort_keys=True) + "\n")
-    written.append(p)
-
+    documents = {"result.json": result} if fmt in ("json", "all") else {}
+    documents["manifest.json"] = {**result["manifest"], **diagnostics}
+    tables = {}
     if fmt in ("csv", "all"):
-        if bundle.shift is not None:
-            p = out / "tc_shift.csv"
-            _write_csv(p, ("h", "T_c_shifted"), bundle.shift["rows"])
-            written.append(p)
-        if bundle.checks:
-            p = out / "checks.csv"
-            _write_csv(
-                p,
-                ("id", "measured", "expected", "tolerance", "passed"),
-                [
-                    (c["id"], c["measured"], c["expected"], c["tolerance"], c["passed"])
-                    for c in bundle.checks
-                ],
-            )
-            written.append(p)
-        if bundle.gl is not None:
-            p = out / "gl.csv"
-            dc_val = bundle.ground_state["D_c"] if bundle.ground_state else math.nan
-            _write_csv(
-                p,
-                ("beta_c", "T_c", "lambda0", "lambda1", "lambda2", "D_c"),
-                [
-                    (
-                        bundle.gl["beta_c"],
-                        bundle.gl["T_c"],
-                        bundle.gl["lambda0"],
-                        bundle.gl["lambda1"],
-                        bundle.gl["lambda2"],
-                        dc_val,
-                    )
-                ],
-            )
-            written.append(p)
+        shift, checks, gl, gs = (result[s] for s in ("shift", "checks", "gl", "ground_state"))
+        if shift is not None:
+            tables["tc_shift.csv"] = (("h", "T_c_shifted"), shift["rows"])
+        if checks:
+            header = ("id", "measured", "expected", "tolerance", "passed")
+            tables["checks.csv"] = (header, [[c[key] for key in header] for c in checks])
+        if gl is not None:
+            header = ("beta_c", "T_c", "lambda0", "lambda1", "lambda2")
+            row = [*(gl[key] for key in header), gs["D_c"] if gs else math.nan]
+            tables["gl.csv"] = ((*header, "D_c"), [row])
+
+    written = []
+    for name, document in documents.items():
+        p = out / name
+        p.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        written.append(p)
+    for name, (header, rows) in tables.items():
+        p = out / name
+        _write_csv(p, header, rows)
+        written.append(p)
     return written

@@ -77,8 +77,6 @@ class EffectiveGroundState:
     e0: float
     bound_state: bool
     refinement_delta: float
-    eigenfunction: np.ndarray | None = None
-    nodes: np.ndarray | None = None
     essential_bottom: float = 0.0
     ladder: LadderStats | None = None
 
@@ -251,8 +249,6 @@ def ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGro
         e0=float(e0),
         bound_state=bool(bound),
         refinement_delta=float(delta),
-        eigenfunction=vec if bound else None,
-        nodes=x if bound else None,
         essential_bottom=float(b),
         ladder=LadderStats(
             levels=levels,

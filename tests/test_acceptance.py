@@ -165,7 +165,8 @@ def test_c06_beta_c_well_posedness(model, numerics, solver, tc):
 
     assert solver.lambda_of(lo) < 1.0 < solver.lambda_of(hi)
 
-    solver2 = BsSolver(model, numerics.build_grids(model, scale=2))
+    doubled = dataclasses.replace(numerics, n_r=2 * numerics.n_r, n_p=2 * numerics.n_p)
+    solver2 = BsSolver(model, doubled.build_grids(model))
     tc2 = solver2.solve_beta_c(numerics.beta_bracket, numerics.beta_c_rel_tol)
     assert abs(tc2.beta_c - tc.beta_c) <= 1e-6 * tc.beta_c
 
@@ -261,23 +262,23 @@ def test_c10_determinism_and_serialization(tmp_path):
     from tcshift.model import model_from_dict
 
     model, numerics = model_from_dict(cfg)
-    b1 = Pipeline(model, numerics, cfg).bundle("shift")
-    b2 = Pipeline(model, numerics, cfg).bundle("shift")
-    emit(b1, tmp_path / "a")
-    emit(b2, tmp_path / "b")
+    r1, d1 = Pipeline(model, numerics, cfg).bundle("shift")
+    r2, d2 = Pipeline(model, numerics, cfg).bundle("shift")
+    emit(r1, d1, tmp_path / "a")
+    emit(r2, d2, tmp_path / "b")
     assert (tmp_path / "a/result.json").read_bytes() == (tmp_path / "b/result.json").read_bytes()
 
     loaded = json.loads((tmp_path / "a/result.json").read_text())
     for key in ("lambda0", "lambda1", "lambda2", "beta_c", "T_c"):
-        assert loaded["gl"][key] == b1.gl[key]
+        assert loaded["gl"][key] == r1["gl"][key]
     gl_line = (tmp_path / "a/gl.csv").read_text().strip().splitlines()[1]
-    assert [float(x) for x in gl_line.split(",")][2] == b1.gl["lambda0"]
+    assert [float(x) for x in gl_line.split(",")][2] == r1["gl"]["lambda0"]
 
     rows = sweep(cfg, "w_amplitude", [-8.0, -4.0])
     point_cfg = json.loads(json.dumps(cfg))
     point_cfg["W"]["amplitude"] = -4.0
     m2, n2 = model_from_dict(point_cfg)
-    fresh = Pipeline(m2, n2, point_cfg).bundle("shift")
-    assert rows[1]["D_c"] == fresh.shift["D_c"]
-    assert rows[1]["beta_c"] == fresh.gl["beta_c"]
+    fresh, _ = Pipeline(m2, n2, point_cfg).bundle("shift")
+    assert rows[1]["D_c"] == fresh["shift"]["D_c"]
+    assert rows[1]["beta_c"] == fresh["gl"]["beta_c"]
     report(10, "determinism, serialization, cache equivalence")

@@ -226,7 +226,8 @@ class TestPairState:
     def test_phi_stable_under_grid_doubling(self, model, numerics, tc, pair):
         from scipy.interpolate import CubicSpline
 
-        s2 = BsSolver(model, numerics.build_grids(model, scale=2))
+        doubled = dataclasses.replace(numerics, n_r=2 * numerics.n_r, n_p=2 * numerics.n_p)
+        s2 = BsSolver(model, doubled.build_grids(model))
         rg2 = s2.grids.rgrid
         tc2 = s2.solve_beta_c(numerics.beta_bracket, numerics.beta_c_rel_tol)
         pair2, _ = s2.extract_pair_state(tc2, numerics.gap_tol)

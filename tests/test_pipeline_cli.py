@@ -17,7 +17,7 @@ from tcshift.cli import main as cli_main
 from tcshift.errors import ConfigError, DomainTooSmall
 from tcshift.grids import GridPair, build_momentum_grid, build_radial_grid
 from tcshift.model import ExternalField, load_config, model_from_dict, model_to_dict
-from tcshift.pipeline import SWEEP_AXES, STAGES, Pipeline, config_digest, emit, sweep
+from tcshift.pipeline import SWEEP_AXES, STAGES, VERBS, Pipeline, config_digest, emit, sweep
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -52,6 +52,11 @@ def bundle(pipe):
     return pipe.bundle("verify")
 
 
+@pytest.fixture(scope="module")
+def result(bundle):
+    return bundle[0]
+
+
 class TestDigest:
     def test_key_order_independent(self):
         a = {"mu": 1.0, "V": {"family": "gaussian", "amplitude": 2.0}}
@@ -74,7 +79,7 @@ class TestDigest:
             point = pipe.derive(**changes)
             edited = {**CFG, **edits}
             assert point.cfg == edited
-            assert point.bundle("validate").manifest.config_digest == config_digest(edited)
+            assert point.bundle("validate")[0]["manifest"]["config_digest"] == config_digest(edited)
             assert model_from_dict(point.cfg)[0] == point.model
 
     def test_model_to_dict_reads_back(self):
@@ -89,32 +94,31 @@ class TestDigest:
 
     def test_pipeline_without_cfg_digests_its_model(self):
         digests = {
-            Pipeline(*load_config(path)).bundle("validate").manifest.config_digest
+            Pipeline(*load_config(path)).bundle("validate")[0]["manifest"]["config_digest"]
             for path in (CONFIGS / "gaussian.json", CONFIGS / "square_well_1d.json")
         }
         assert len(digests) == 2 and config_digest({}) not in digests
 
 
 class TestPipeline:
-    def test_bundle_consistency(self, bundle):
-        assert bundle.shift["T_c"] == bundle.tc["T_c"]
-        assert bundle.gl["beta_c"] == bundle.tc["beta_c"]
-        assert bundle.all_checks_passed
+    def test_bundle_consistency(self, result):
+        assert result["shift"]["T_c"] == result["tc"]["T_c"]
+        assert result["gl"]["beta_c"] == result["tc"]["beta_c"]
+        assert all(c["passed"] for c in result["checks"])
 
     def test_zero_field_gives_flat_table(self, tmp_path):
         cfg = json.loads(json.dumps(CFG))
         cfg["W"] = {"family": "zero"}
         model, numerics = model_from_dict(cfg)
-        b = Pipeline(model, numerics, cfg).bundle("shift")
-        assert b.ground_state["D_c"] == 0.0
-        assert all(t == b.tc["T_c"] for _, t in b.shift["rows"])
+        b, _ = Pipeline(model, numerics, cfg).bundle("shift")
+        assert b["ground_state"]["D_c"] == 0.0
+        assert all(t == b["tc"]["T_c"] for _, t in b["shift"]["rows"])
 
-    def test_deterministic_bundles(self, pipe, bundle):
+    def test_deterministic_bundles(self, result):
+        # result holds no timestamps, its manifest included
         model, numerics = model_from_dict(CFG)
-        again = Pipeline(model, numerics, CFG).bundle("verify")
-        a = {k: v for k, v in bundle.__dict__.items() if k != "manifest"}
-        b = {k: v for k, v in again.__dict__.items() if k != "manifest"}
-        assert a == b
+        again, _ = Pipeline(model, numerics, CFG).bundle("verify")
+        assert again == result
 
     def test_derived_pipeline_keeps_unreached_stages(self, pipe, bundle):
         every = set(STAGES)
@@ -162,18 +166,67 @@ class TestPipeline:
     def test_stage_prefixes(self):
         model, numerics = model_from_dict(CFG)
         p = Pipeline(model, numerics, CFG)
-        b = p.bundle("tc")
-        assert b.tc is not None and b.gl is None and b.checks == []
+        b, _ = p.bundle("tc")
+        assert b["tc"] is not None and b["gl"] is None and b["checks"] == []
+
+    def test_verb_prefixes_share_sections(self):
+        # each verb emits the sections of verify's bundle up to its own; later ones are empty
+        model, numerics = load_config(CONFIGS / "gaussian.json")
+        full, _ = Pipeline(model, numerics).bundle("verify")
+        sections = [section for section, _build in VERBS.values()]
+        assert set(full) == {"manifest", *sections}
+        for i, verb in enumerate(VERBS):
+            result, _ = Pipeline(model, numerics).bundle(verb)
+            assert set(result) == set(full), verb
+            for section in sections[: i + 1]:
+                assert result[section] == full[section], (verb, section)
+            for section in sections[i + 1 :]:
+                assert result[section] == ([] if section == "checks" else None), (verb, section)
+
+    def test_stage_bodies_request_their_uses(self, monkeypatch):
+        # derive trusts STAGES for cache reuse; each stage's method must read exactly
+        # the stages listed as its uses.  validation is tc's precondition, which runs
+        # outside tc's memo, so it is set aside here.
+        requested, building, precondition = {}, [], []
+        memo, require = Pipeline._memo, Pipeline.require_assumptions
+
+        def spied_memo(pipe, key, builder):
+            if building and not precondition:
+                requested[building[-1]].add(key)
+
+            def traced():
+                building.append(key)
+                requested[key] = set()
+                try:
+                    return builder()
+                finally:
+                    building.pop()
+
+            return memo(pipe, key, traced)
+
+        def spied_require(pipe):
+            precondition.append(True)
+            try:
+                return require(pipe)
+            finally:
+                precondition.pop()
+
+        monkeypatch.setattr(Pipeline, "_memo", spied_memo)
+        monkeypatch.setattr(Pipeline, "require_assumptions", spied_require)
+        model, numerics = model_from_dict(CFG)
+        Pipeline(model, numerics, CFG).bundle("verify")
+        assert requested == {name: set(uses) for name, (_reads, uses) in STAGES.items()}
 
 
 class TestEmit:
     def test_round_trip(self, pipe, bundle, tmp_path):
-        emit(bundle, tmp_path, "json")
+        result, diagnostics = bundle
+        emit(result, diagnostics, tmp_path, "json")
         loaded = json.loads((tmp_path / "result.json").read_text())
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         for key in ("cache_hits", "solver_rank", "lambda_truncation_bound", "ground_state_ladder"):
             assert key not in loaded["manifest"], key
-            assert manifest[key] == getattr(bundle.manifest, key), key
+            assert manifest[key] == diagnostics[key], key
         assert 0 < manifest["solver_rank"] <= CFG["numerics"]["n_r"]
         assert 0.0 <= manifest["lambda_truncation_bound"] < 1e-10
         ladder = manifest["ground_state_ladder"]
@@ -181,40 +234,40 @@ class TestEmit:
         assert ladder["levels"] >= 2 and ladder["fallbacks"] == 0
         assert ladder["final_n"] == CFG["numerics"]["n_points"] * 2 ** (ladder["levels"] - 1)
         assert 0.0 < ladder["max_residual"] < 1e-8
-        assert loaded["tc"] == bundle.tc
-        assert loaded["gl"] == bundle.gl
-        assert loaded["shift"] == bundle.shift
+        assert loaded["tc"] == result["tc"]
+        assert loaded["gl"] == result["gl"]
+        assert loaded["shift"] == result["shift"]
 
-    def test_float_round_trip_via_json(self, bundle, tmp_path):
-        emit(bundle, tmp_path, "json")
+    def test_float_round_trip_via_json(self, bundle, result, tmp_path):
+        emit(*bundle, tmp_path, "json")
         loaded = json.loads((tmp_path / "result.json").read_text())
         for key in ("lambda0", "lambda1", "lambda2"):
-            assert loaded["gl"][key] == bundle.gl[key]
+            assert loaded["gl"][key] == result["gl"][key]
 
-    def test_csv_tables(self, bundle, tmp_path):
-        emit(bundle, tmp_path, "csv")
+    def test_csv_tables(self, bundle, result, tmp_path):
+        emit(*bundle, tmp_path, "csv")
         checks = (tmp_path / "checks.csv").read_text().strip().splitlines()
         assert checks[0] == "id,measured,expected,tolerance,passed"
-        assert len(checks) - 1 == len(bundle.checks)
+        assert len(checks) - 1 == len(result["checks"])
         shift = (tmp_path / "tc_shift.csv").read_text().strip().splitlines()
         assert shift[0] == "h,T_c_shifted"
-        assert len(shift) - 1 == len(bundle.shift["rows"])
+        assert len(shift) - 1 == len(result["shift"]["rows"])
         gl = (tmp_path / "gl.csv").read_text().strip().splitlines()
         assert gl[0] == "beta_c,T_c,lambda0,lambda1,lambda2,D_c"
 
-    def test_csv_17_digit_round_trip(self, bundle, tmp_path):
-        emit(bundle, tmp_path, "csv")
+    def test_csv_17_digit_round_trip(self, bundle, result, tmp_path):
+        emit(*bundle, tmp_path, "csv")
         rows = (tmp_path / "gl.csv").read_text().strip().splitlines()[1]
         vals = [float(x) for x in rows.split(",")]
-        assert vals[0] == bundle.gl["beta_c"]
-        assert vals[2] == bundle.gl["lambda0"]
+        assert vals[0] == result["gl"]["beta_c"]
+        assert vals[2] == result["gl"]["lambda0"]
 
     def test_byte_identical_reruns(self, tmp_path):
         model, numerics = model_from_dict(CFG)
         b1 = Pipeline(model, numerics, CFG).bundle("shift")
         b2 = Pipeline(model, numerics, CFG).bundle("shift")
-        emit(b1, tmp_path / "a", "json")
-        emit(b2, tmp_path / "b", "json")
+        emit(*b1, tmp_path / "a", "json")
+        emit(*b2, tmp_path / "b", "json")
         assert (tmp_path / "a/result.json").read_bytes() == (
             tmp_path / "b/result.json"
         ).read_bytes()
@@ -249,14 +302,14 @@ class TestSweep:
             cfg = json.loads(json.dumps(CFG))
             SET_IN_CONFIG[axis](cfg, value)
             model, numerics = model_from_dict(cfg)
-            fresh = Pipeline(model, numerics, cfg).bundle("shift")
+            fresh, _ = Pipeline(model, numerics, cfg).bundle("shift")
             row = rows[1]
             assert row["error"] == "", axis
-            assert row["beta_c"] == fresh.gl["beta_c"], axis
-            assert row["lambda1"] == fresh.gl["lambda1"], axis
-            assert row["e0"] == fresh.ground_state["e0"], axis
-            assert row["D_c"] == fresh.shift["D_c"], axis
-            assert row["T_c_shifted"] == fresh.shift["rows"][0][1], axis
+            assert row["beta_c"] == fresh["gl"]["beta_c"], axis
+            assert row["lambda1"] == fresh["gl"]["lambda1"], axis
+            assert row["e0"] == fresh["ground_state"]["e0"], axis
+            assert row["D_c"] == fresh["shift"]["D_c"], axis
+            assert row["T_c_shifted"] == fresh["shift"]["rows"][0][1], axis
 
     def test_error_column_on_bad_point(self):
         rows = sweep(CFG, "v_amplitude", [2.0, 0.0])
@@ -625,6 +678,25 @@ class TestCli:
         assert code == 0
         lines = (tmp_path / "n" / "sweep.csv").read_text().strip().splitlines()
         assert [float(line.split(",")[0]) for line in lines[1:]] == [-1.0, -2.0]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--sweep-values", ","),
+            ("--sweep-values", "0.01", "--threads", "0"),
+            ("--sweep-values", "0.01", "--threads", "-3"),
+        ],
+    )
+    def test_meaningless_sweep_exit_2(self, tmp_path, extra):
+        out = tmp_path / "out"
+        code = self.run_cli(
+            "sweep", "--config", str(write_cfg(tmp_path, CFG)), "--out", str(out),
+            "--sweep-axis", "h", *extra,
+        )
+        assert code == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigError" and record["exit_code"] == 2
+        assert not (out / "sweep.csv").exists()
 
     def test_import_leaves_scipy_unloaded(self):
         proc = subprocess.run(
