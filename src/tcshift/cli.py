@@ -107,6 +107,9 @@ def main(argv=None) -> int:
     try:
         cfg = read_config(args.config)
         out_dir = resolve_out_dir(args.out, cfg)
+        # only sweep reads --threads, but every verb takes it, so every verb refuses < 1
+        if args.threads < 1:
+            raise ConfigError(f"threads must be at least 1, not {args.threads}")
         if args.verb == "sweep":
             values = [v for v in args.sweep_values.split(",") if v.strip()]
             try:

@@ -69,7 +69,8 @@ class LadderStats:
     final_n: int  # interior nodes of the last one
     domain_radius: float
     max_residual: float  # largest accepted ||A v - ev v|| over the levels
-    fallbacks: int  # levels solved by bisection because the refinement was not certified
+    fallbacks: int  # levels, pre-level included, solved by bisection when not certified
+    solves: int  # shifted tridiagonal solves, pre-level included
 
 
 @dataclass
@@ -102,15 +103,21 @@ def _potential_on_axis(prob: EffectiveProblem, x: np.ndarray, h: float) -> np.nd
 # rounding of the residual and of the LDL^T factorization.
 RESIDUAL_C = 16.0
 MAX_SOLVES = 6  # shifted tridiagonal solves per level before the eigh_tridiagonal fallback
+# The first ladder level starts from a pre-level of n_points // PRE_LEVEL_DIVISOR
+# nodes, so only that small one runs bisection; below PRE_LEVEL_MIN_NODES the
+# pre-level would be too coarse to help and the first level bisects itself.
+PRE_LEVEL_DIVISOR = 16
+PRE_LEVEL_MIN_NODES = 64
 
 
 def _dirichlet_lowest(
     u_pot: np.ndarray, h: float, guess: tuple[float, np.ndarray] | None = None
-) -> tuple[float, np.ndarray, float, bool]:
+) -> tuple[float, np.ndarray, float, bool, int]:
     """Lowest eigenpair of A = -u'' + U u on the interior grid, Dirichlet ends.
 
     Inverse iteration from ``guess``, an approximate eigenvalue and vector
-    (in ``ground_energy`` the coarser level's pair, interpolated), taking the
+    (in ``ground_energy`` the coarser level's pair, interpolated; the first
+    ladder level's coarser level is the small pre-level), taking the
     Rayleigh quotient as the next shift.  Without a guess the first shift is
     the bisection eigenvalue and the start vector is constant, since the
     ground state is positive.  The pair (ev, v) is accepted once
@@ -122,7 +129,7 @@ def _dirichlet_lowest(
     solve the level instead.
 
     The guess vector is overwritten.  Returns (eigenvalue, unit eigenvector,
-    residual r, whether it fell back).
+    residual r, whether it fell back, shifted solves made).
     """
     # imported here: scipy.linalg costs ~0.3 s, and only dc/shift/verify get this far
     from scipy.linalg import eigh_tridiagonal
@@ -151,7 +158,7 @@ def _dirichlet_lowest(
         v = np.ones_like(u_pot)
     else:
         shift, v = guess
-    for _ in range(MAX_SOLVES):
+    for solves in range(1, MAX_SOLVES + 1):
         # the solve writes its result over v: the guess vector or the last iterate
         *_, v, info = dgtsv(off, diag - shift, off, v, overwrite_d=1, overwrite_b=1)
         scale = np.linalg.norm(v)
@@ -162,14 +169,14 @@ def _dirichlet_lowest(
         r = residual(v, ev)
         if r <= pad:
             if dpttrf(diag - (ev - r - pad), off, overwrite_d=1)[2] == 0:
-                return ev, v, r, False
+                return ev, v, r, False, solves
             break
         shift = ev
 
     vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
     v = vecs[:, 0]
     ev = float(vals[0])
-    return ev, v, residual(v, ev), True
+    return ev, v, residual(v, ev), True, solves
 
 
 class _Level(NamedTuple):
@@ -177,7 +184,9 @@ class _Level(NamedTuple):
     vec: np.ndarray
     residual: float
     fell_back: bool
+    solves: int
     x: np.ndarray
+    u_pot: np.ndarray  # coupling * W on x, as the level's matrix holds it
 
 
 def _solve_at_resolution(prob: EffectiveProblem, n: int, coarse: _Level | None = None) -> _Level:
@@ -191,31 +200,46 @@ def _solve_at_resolution(prob: EffectiveProblem, n: int, coarse: _Level | None =
         h = 2.0 * R / (n + 1)
         x = -R + h * np.arange(1, n + 1)
     guess = None if coarse is None else (coarse.ev, np.interp(x, coarse.x, coarse.vec))
-    return _Level(*_dirichlet_lowest(_potential_on_axis(prob, x, h), h, guess), x=x)
+    u_pot = _potential_on_axis(prob, x, h)
+    return _Level(*_dirichlet_lowest(u_pot, h, guess), x=x, u_pot=u_pot)
 
 
 def ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGroundState:
     """Estimate inf spec by Dirichlet finite differences plus the continuum bottom.
 
     The reported energy is min(lowest box eigenvalue, b) where b, the bottom
-    of the essential spectrum, is the coupling times the limit of W at
+    of the essential spectrum, is the lower limit of coupling * W at
     infinity.  The box eigenvalue is Richardson-extrapolated from two
-    resolutions; resolution doubles until the observed n-to-2n change is
-    below rel_tol, and each level starts from the one before it (see
-    ``_dirichlet_lowest``).  A bound state whose mass reaches the box edge
-    raises DomainTooSmall.
+    resolutions; resolution doubles from ``n_points`` until the observed
+    n-to-2n change is below rel_tol.  Each level starts from the one before
+    it, and the first from a pre-level of n_points // PRE_LEVEL_DIVISOR
+    nodes, the only solve that starts by bisection (see
+    ``_dirichlet_lowest``); the pre-level counts in ``solves`` and
+    ``fallbacks`` but is not one of the ``levels``.  A bound state whose
+    mass reaches the box edge raises DomainTooSmall.
     """
+    # in one_d the two ends of W may differ, and a negative coupling turns the
+    # higher one into the lower end of coupling * W
+    ends = (math.inf, -math.inf) if prob.W.dimensionality == "one_d" else (math.inf,)
     # + 0.0 turns the -0.0 of a negative coupling times a vanishing field into 0.0
-    b = prob.coupling * prob.W.boundary_value() + 0.0
+    b = min(prob.coupling * float(prob.W(end)) for end in ends) + 0.0
 
     n = prob.n_points
-    coarse = _solve_at_resolution(prob, n)
-    levels, max_residual, fallbacks = 1, coarse.residual, int(coarse.fell_back)
+    pre = None
+    if n // PRE_LEVEL_DIVISOR >= PRE_LEVEL_MIN_NODES:
+        pre = _solve_at_resolution(prob, n // PRE_LEVEL_DIVISOR)
+    coarse = _solve_at_resolution(prob, n, pre)
+    levels, max_residual = 1, coarse.residual
+    fallbacks, solves = int(coarse.fell_back), coarse.solves
+    if pre is not None:
+        fallbacks += pre.fell_back
+        solves += pre.solves
     for _ in range(7):
         fine = _solve_at_resolution(prob, 2 * n, coarse)
         levels += 1
         max_residual = max(max_residual, fine.residual)
         fallbacks += fine.fell_back
+        solves += fine.solves
         delta = abs(fine.ev - coarse.ev)
         extrapolated = fine.ev + (fine.ev - coarse.ev) / 3.0  # second-order scheme
         if delta < rel_tol * max(1.0, abs(extrapolated)):
@@ -241,8 +265,7 @@ def ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGro
                 "enlarge domain_radius"
             )
     e0 = min(extrapolated, b)
-    h_last = x[1] - x[0]
-    grid_min = float(np.min(_potential_on_axis(prob, x, h_last)))
+    grid_min = float(np.min(fine.u_pot))
     if e0 < grid_min - 1e-9 * max(1.0, abs(grid_min)):
         raise ConvergenceError("ground energy fell below the potential minimum")
     return EffectiveGroundState(
@@ -256,6 +279,7 @@ def ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGro
             domain_radius=float(prob.domain_radius),
             max_residual=float(max_residual),
             fallbacks=fallbacks,
+            solves=solves,
         ),
     )
 

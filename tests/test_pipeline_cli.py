@@ -232,6 +232,7 @@ class TestEmit:
         ladder = manifest["ground_state_ladder"]
         assert ladder == dataclasses.asdict(pipe.ground_state().ladder)
         assert ladder["levels"] >= 2 and ladder["fallbacks"] == 0
+        assert ladder["solves"] >= ladder["levels"]
         assert ladder["final_n"] == CFG["numerics"]["n_points"] * 2 ** (ladder["levels"] - 1)
         assert 0.0 < ladder["max_residual"] < 1e-8
         assert loaded["tc"] == result["tc"]
@@ -697,6 +698,19 @@ class TestCli:
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "ConfigError" and record["exit_code"] == 2
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("verb", list(VERBS))
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, verb, threads):
+        out = tmp_path / "out"
+        code = self.run_cli(
+            verb, "--config", str(write_cfg(tmp_path, CFG)), "--out", str(out),
+            "--threads", threads,
+        )
+        assert code == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigError" and "threads" in record["message"]
+        assert not (out / "result.json").exists()
 
     def test_import_leaves_scipy_unloaded(self):
         proc = subprocess.run(

@@ -15,7 +15,10 @@ from scipy.optimize import brentq
 from tcshift.errors import DomainTooSmall
 from tcshift.gl import GlCoefficients
 from tcshift.model import ExternalField
+from tcshift import schrodinger
 from tcshift.schrodinger import (
+    MAX_SOLVES,
+    PRE_LEVEL_DIVISOR,
     EffectiveProblem,
     _dirichlet_lowest,
     _potential_on_axis,
@@ -117,6 +120,18 @@ class TestGroundEnergy:
         gs = ground_energy(EffectiveProblem(coupling=1.0, W=W, domain_radius=5.0, n_points=2000))
         assert not gs.bound_state
         assert gs.e0 == gs.essential_bottom == 0.0
+
+    @pytest.mark.parametrize("R", [20.0, 40.0])
+    def test_negative_coupling_takes_the_lower_end_one_d(self, R):
+        # coupling * W runs from 0 on the left to -1 on the right and never dips
+        # below -1, so the essential bottom -1 is the infimum and nothing binds
+        W = ExternalField(
+            family="tabulated_1d", dimensionality="one_d", table=[(-5.0, 0.0), (5.0, 1.0)]
+        )
+        gs = ground_energy(EffectiveProblem(coupling=-1.0, W=W, domain_radius=R, n_points=400))
+        assert gs.essential_bottom == -1.0
+        assert gs.e0 == -1.0
+        assert not gs.bound_state
 
     def test_lower_bound_by_potential_minimum(self):
         W = ExternalField(family="gaussian_well", amplitude=-6.0, range=1.0)
@@ -231,8 +246,9 @@ class TestLadder:
         u_pot, h = level_matrix(LADDER_PROBLEMS["gaussian_well"], 800)
         lowest, _ = tight_eigenvalue(u_pot, h, 0)
         second = tight_eigenvalue(u_pot, h, 1)
-        ev, vec, residual, fell_back = _dirichlet_lowest(u_pot, h, second)
+        ev, vec, residual, fell_back, solves = _dirichlet_lowest(u_pot, h, second)
         assert fell_back
+        assert 1 <= solves <= MAX_SOLVES
         assert second[0] - lowest > 0.5
         assert abs(ev - lowest) <= residual + 1e-10
         assert len(vec) == len(u_pot)
@@ -245,6 +261,7 @@ class TestLadder:
         assert stats.final_n == prob.n_points * 2 ** (stats.levels - 1)
         assert stats.domain_radius == prob.domain_radius
         assert stats.fallbacks == 0
+        assert stats.solves >= stats.levels
         assert 0.0 < stats.max_residual < 1e-8
 
     @pytest.mark.parametrize("amplitude", [-3.0, -8.0, -20.0])
@@ -265,6 +282,77 @@ class TestLadder:
         lo, hi = e0(0.37 * (1 - 1e-9)), e0(0.37 * (1 + 1e-9))
         assert hi != base
         assert abs(lo - 2.0 * base + hi) <= 1e-13 * abs(base)
+
+
+# lambda1 / lambda0 of configs/gaussian.json, whose W has range 2
+BENCH_COUPLING = 0.10458689266989643
+
+
+def bench_field_problem(family, amplitude, n_points=2000):
+    """A field as the field scan draws it, at the shipped gaussian config's coupling."""
+    dim = "one_d" if family == "square_well_1d" else "radial_3d"
+    W = ExternalField(family=family, amplitude=amplitude, range=2.0, dimensionality=dim)
+    R = default_domain_radius(BENCH_COUPLING, W)
+    return EffectiveProblem(coupling=BENCH_COUPLING, W=W, domain_radius=R, n_points=n_points)
+
+
+@pytest.fixture
+def tridiagonal_orders(monkeypatch):
+    """Orders of the eigh_tridiagonal calls made while the fixture is active."""
+    import scipy.linalg
+
+    orders = []
+    real = scipy.linalg.eigh_tridiagonal
+
+    def spy(d, e, *args, **kwargs):
+        orders.append(len(d))
+        return real(d, e, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+    return orders
+
+
+class TestPreLevel:
+    """Only a pre-level of n_points // PRE_LEVEL_DIVISOR nodes starts by bisection."""
+
+    @pytest.mark.parametrize("family", ["gaussian_well", "square_well_1d", "constant"])
+    def test_one_small_bisection(self, tridiagonal_orders, family):
+        gs = ground_energy(bench_field_problem(family, -20.0))
+        assert tridiagonal_orders == [2000 // PRE_LEVEL_DIVISOR] == [125]
+        assert gs.ladder.fallbacks == 0
+        assert gs.ladder.final_n == 2000 * 2 ** (gs.ladder.levels - 1)
+
+    @pytest.mark.parametrize("n_points, order", [(1000, 1000), (1023, 1023), (1024, 64)])
+    def test_small_ladders_bisect_their_first_level(self, tridiagonal_orders, n_points, order):
+        gs = ground_energy(bench_field_problem("gaussian_well", -20.0, n_points))
+        assert tridiagonal_orders == [order]
+        assert gs.ladder.fallbacks == 0
+
+    @pytest.mark.parametrize(
+        "amplitude", [-6.5, -6.7, -6.9, -7.1, -7.3, -7.5, -7.7, -7.75, -7.8, -8.0]
+    )
+    def test_e0_matches_a_ladder_started_by_bisection(self, monkeypatch, amplitude):
+        # through the binding threshold: unbound, DomainTooSmall, then bound
+        prob = bench_field_problem("gaussian_well", amplitude)
+
+        def solve():
+            try:
+                return ground_energy(prob)
+            except DomainTooSmall as exc:
+                return exc
+
+        pre = solve()
+        monkeypatch.setattr(schrodinger, "PRE_LEVEL_MIN_NODES", math.inf)
+        bisected = solve()
+        if isinstance(bisected, DomainTooSmall):
+            assert isinstance(pre, DomainTooSmall)
+            return
+        assert not isinstance(pre, DomainTooSmall)
+        assert abs(pre.e0 - bisected.e0) <= 1e-12 * abs(bisected.e0)
+        assert pre.bound_state == bisected.bound_state
+        assert pre.ladder.levels == bisected.ladder.levels
+        assert pre.ladder.fallbacks == bisected.ladder.fallbacks == 0
+        assert pre.ladder.solves > bisected.ladder.solves
 
 
 class TestDc:
