@@ -173,11 +173,14 @@ class ExternalField:
             out = np.interp(np.clip(a, t[0, 0], t[-1, 0]), t[:, 0], t[:, 1])
         return out if out.ndim else float(out)
 
-    def boundary_value(self) -> float:
-        """Limit of W at infinity; in one_d the smaller of the limits at +inf and -inf."""
-        if self.dimensionality == "one_d":
-            return min(float(self(math.inf)), float(self(-math.inf)))
-        return float(self(math.inf))
+    def boundary_value(self, coupling: float = 1.0) -> float:
+        """Lower limit of coupling * W at infinity, the bottom of its essential spectrum.
+
+        In one_d the two ends of W may differ, and a negative coupling turns
+        the higher one into the lower end of coupling * W.
+        """
+        ends = (math.inf, -math.inf) if self.dimensionality == "one_d" else (math.inf,)
+        return min(coupling * float(self(end)) for end in ends)
 
 
 @dataclass(frozen=True)

@@ -103,9 +103,9 @@ def _potential_on_axis(prob: EffectiveProblem, x: np.ndarray, h: float) -> np.nd
 # rounding of the residual and of the LDL^T factorization.
 RESIDUAL_C = 16.0
 MAX_SOLVES = 6  # shifted tridiagonal solves per level before the eigh_tridiagonal fallback
-# The first ladder level starts from a pre-level of n_points // PRE_LEVEL_DIVISOR
-# nodes, so only that small one runs bisection; below PRE_LEVEL_MIN_NODES the
-# pre-level would be too coarse to help and the first level bisects itself.
+# The first ladder level starts from a pre-level of
+# max(n_points // PRE_LEVEL_DIVISOR, PRE_LEVEL_MIN_NODES) nodes, the only solve
+# that runs bisection; n_points >= 100 keeps it below the first level.
 PRE_LEVEL_DIVISOR = 16
 PRE_LEVEL_MIN_NODES = 64
 
@@ -212,28 +212,22 @@ def ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGro
     infinity.  The box eigenvalue is Richardson-extrapolated from two
     resolutions; resolution doubles from ``n_points`` until the observed
     n-to-2n change is below rel_tol.  Each level starts from the one before
-    it, and the first from a pre-level of n_points // PRE_LEVEL_DIVISOR
-    nodes, the only solve that starts by bisection (see
+    it, and the first from a pre-level of
+    max(n_points // PRE_LEVEL_DIVISOR, PRE_LEVEL_MIN_NODES) nodes, the only
+    solve that starts by bisection (see
     ``_dirichlet_lowest``); the pre-level counts in ``solves`` and
     ``fallbacks`` but is not one of the ``levels``.  A bound state whose
     mass reaches the box edge raises DomainTooSmall.
     """
-    # in one_d the two ends of W may differ, and a negative coupling turns the
-    # higher one into the lower end of coupling * W
-    ends = (math.inf, -math.inf) if prob.W.dimensionality == "one_d" else (math.inf,)
     # + 0.0 turns the -0.0 of a negative coupling times a vanishing field into 0.0
-    b = min(prob.coupling * float(prob.W(end)) for end in ends) + 0.0
+    b = prob.W.boundary_value(prob.coupling) + 0.0
 
     n = prob.n_points
-    pre = None
-    if n // PRE_LEVEL_DIVISOR >= PRE_LEVEL_MIN_NODES:
-        pre = _solve_at_resolution(prob, n // PRE_LEVEL_DIVISOR)
+    pre = _solve_at_resolution(prob, max(n // PRE_LEVEL_DIVISOR, PRE_LEVEL_MIN_NODES))
     coarse = _solve_at_resolution(prob, n, pre)
     levels, max_residual = 1, coarse.residual
-    fallbacks, solves = int(coarse.fell_back), coarse.solves
-    if pre is not None:
-        fallbacks += pre.fell_back
-        solves += pre.solves
+    fallbacks = int(pre.fell_back) + coarse.fell_back
+    solves = pre.solves + coarse.solves
     for _ in range(7):
         fine = _solve_at_resolution(prob, 2 * n, coarse)
         levels += 1

@@ -100,6 +100,14 @@ class TestExternalField:
         )
         assert W.boundary_value() == 0.25
 
+    def test_boundary_value_negative_coupling_takes_the_higher_end(self):
+        W = ExternalField(
+            family="tabulated_1d",
+            dimensionality="one_d",
+            table=[(0.0, 1.0), (10.0, 0.25)],
+        )
+        assert W.boundary_value(-2.0) == -2.0
+
     def test_tabulated_1d_keeps_sign_of_coordinate(self):
         W = ExternalField(
             family="tabulated_1d",

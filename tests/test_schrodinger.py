@@ -313,7 +313,7 @@ def tridiagonal_orders(monkeypatch):
 
 
 class TestPreLevel:
-    """Only a pre-level of n_points // PRE_LEVEL_DIVISOR nodes starts by bisection."""
+    """Only a pre-level of max(n_points // 16, 64) nodes starts by bisection."""
 
     @pytest.mark.parametrize("family", ["gaussian_well", "square_well_1d", "constant"])
     def test_one_small_bisection(self, tridiagonal_orders, family):
@@ -322,8 +322,8 @@ class TestPreLevel:
         assert gs.ladder.fallbacks == 0
         assert gs.ladder.final_n == 2000 * 2 ** (gs.ladder.levels - 1)
 
-    @pytest.mark.parametrize("n_points, order", [(1000, 1000), (1023, 1023), (1024, 64)])
-    def test_small_ladders_bisect_their_first_level(self, tridiagonal_orders, n_points, order):
+    @pytest.mark.parametrize("n_points, order", [(200, 64), (500, 64), (1024, 64), (1040, 65)])
+    def test_small_ladders_bisect_a_small_pre_level(self, tridiagonal_orders, n_points, order):
         gs = ground_energy(bench_field_problem("gaussian_well", -20.0, n_points))
         assert tridiagonal_orders == [order]
         assert gs.ladder.fallbacks == 0
@@ -342,7 +342,8 @@ class TestPreLevel:
                 return exc
 
         pre = solve()
-        monkeypatch.setattr(schrodinger, "PRE_LEVEL_MIN_NODES", math.inf)
+        # a pre-level at full size bisects the first level, as a ladder without one would
+        monkeypatch.setattr(schrodinger, "PRE_LEVEL_DIVISOR", 1)
         bisected = solve()
         if isinstance(bisected, DomainTooSmall):
             assert isinstance(pre, DomainTooSmall)
@@ -352,7 +353,6 @@ class TestPreLevel:
         assert pre.bound_state == bisected.bound_state
         assert pre.ladder.levels == bisected.ladder.levels
         assert pre.ladder.fallbacks == bisected.ladder.fallbacks == 0
-        assert pre.ladder.solves > bisected.ladder.solves
 
 
 class TestDc:
