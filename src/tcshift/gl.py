@@ -23,7 +23,6 @@ from .grids import (
     build_momentum_grid,
     build_radial_grid,
     ft3_radial,
-    radial_inner,
     spherical_j0,
 )
 from .kernels import chi, g0, g1, g2
@@ -44,6 +43,10 @@ __all__ = [
 
 # trial-profile normalization: tau_hat = (1/2) (2 pi)^{-3/2} t
 TAU_HAT_FACTOR = 0.5 * (2.0 * math.pi) ** -1.5
+
+# radii per block of normalization_position_route's transform: 256 rows of
+# its 4 n_p-node j0 table are 3.3 MB at the default n_p = 400
+ROUTE_ROW_BLOCK = 256
 
 
 @dataclass
@@ -176,9 +179,17 @@ def normalization_position_route(pair: PairState, tc: CriticalTemperature, model
     pg = build_momentum_grid(numerics.resolved_p_max(model), 4 * numerics.n_p, mu=model.mu)
     w_hat = ft3_radial(pair.v_half_phi, GridPair(pair.v_half_phi.grid, pg))
     c = chi(tc.beta_c, pg.nodes**2 - model.mu)
-    big = GridPair(build_radial_grid(r_big, n_r), pg)
-    v = ft3_radial(RadialFunction(pg, c * w_hat.values), big)
-    return math.sqrt(radial_inner(v, v))
+    # ||ft3_radial(c w_hat)||^2 on the big grid, ROUTE_ROW_BLOCK radii at a time,
+    # so the big grid's j0 table is never built whole
+    f = math.sqrt(2.0 / math.pi) * pg.weights * pg.nodes**2 * c * w_hat.values
+    big = build_radial_grid(r_big, n_r)
+    norm_sq = 0.0
+    for start in range(0, big.nodes.size, ROUTE_ROW_BLOCK):
+        r = big.nodes[start : start + ROUTE_ROW_BLOCK]
+        w = big.weights[start : start + ROUTE_ROW_BLOCK]
+        v = spherical_j0(np.outer(r, pg.nodes)) @ f
+        norm_sq += float(np.sum(w * r * r * (v * v)))
+    return math.sqrt(4.0 * math.pi * norm_sq)
 
 
 def r_of_p(pair: PairState, p) -> np.ndarray:

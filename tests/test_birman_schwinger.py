@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tcshift.birman_schwinger import RANGE_K0, BsSolver, sup_spec_zero_temperature
+from tcshift.birman_schwinger import RANGE_K0, RANGE_RTOL, BsSolver, sup_spec_zero_temperature
 from tcshift.errors import AssumptionViolation, GridError, NoBracket
 from tcshift.grids import (
     GridPair,
@@ -298,6 +298,24 @@ class TestCompression:
         assert np.max(np.abs(top.vector1.values - phi)) < 1e-10 * np.max(np.abs(phi))
         assert top.lambda1 == pytest.approx(vals[-1], rel=1e-13)
         assert top.lambda2 == pytest.approx(vals[-2], rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("family", ["gaussian", "exponential", "square_well"])
+    def test_rank_sized_to_the_factor(self, family, mu):
+        model, num = load_config(CONFIGS / "gaussian.json")
+        model = dataclasses.replace(model, V=dataclasses.replace(model.V, family=family), mu=mu)
+        s = BsSolver(model, num.build_grids(model))
+        G = s._factor()
+        tol = RANGE_RTOL * np.linalg.norm(G)
+        assert s.residual <= tol
+        sv = np.linalg.svd(G, compute_uv=False)
+        tails = np.sqrt(np.cumsum(sv[::-1] ** 2))[::-1]  # tails[j] = ||sv[j:]||
+        numerical_rank = int(np.count_nonzero(tails > tol))
+        # doubling from RANGE_K0 overshoots the numerical rank by less than 2x
+        assert s.rank <= max(RANGE_K0, 2 * numerical_rank)
+        if family == "gaussian":
+            # the shipped config's V (numerical rank 25-29) needs no restart
+            assert s.rank == 32
 
     def test_small_grid_is_exact(self, model):
         num = Numerics(n_r=RANGE_K0, n_p=RANGE_K0)

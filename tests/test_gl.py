@@ -3,6 +3,7 @@ overlap asymptotics.  These are the checks that tie the momentum-space
 formulas to the operator they came from."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,17 @@ class TestTProfile:
         # position-space route on the enlarged verification domain
         n_pos = normalization_position_route(pair, tc, model, numerics)
         assert n_pos == pytest.approx(t_profile.normalization_N, rel=1e-8)
+
+    def test_position_route_builds_no_full_table(self, pair, tc, model, numerics):
+        # on the default model (configs/gaussian.json) the verification domain's
+        # j0 table would be 2656 x 1596, 34 MB; the route builds it a block at a time
+        tracemalloc.start()
+        try:
+            normalization_position_route(pair, tc, model, numerics)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_tail_decay(self, t_profile):
         tail = abs(t_profile.values[-1])
