@@ -45,7 +45,6 @@ class SpectralTop:
     lambda1: float
     lambda2: float
     vector1: RadialFunction
-    eigenvalues: np.ndarray
 
     @property
     def gap(self) -> float:
@@ -197,15 +196,12 @@ class BsSolver:
         """Bound on |eigvalsh(matrix(beta))[-1] - lambda_of(beta)| from the compression."""
         return float(np.max(np.abs(self._chi(beta_or_inf)))) * self._weyl
 
-    def top(self, beta_or_inf: float, m: int = 2) -> SpectralTop:
-        """Top m eigenvalues and the leading eigenvector, de-weighted to function samples.
+    def top(self, beta_or_inf: float) -> SpectralTop:
+        """Top two eigenvalues and the leading eigenvector, de-weighted to function samples.
 
         The eigenvector sign is fixed so that 4 pi int phi r^2 dr >= 0.
         """
-        if m < 2:
-            raise ValueError("m must be >= 2")
         vals, vecs = np.linalg.eigh(self._reduced(beta_or_inf))
-        top_vals = vals[::-1][:m].copy()
         rgrid = self.grids.rgrid
         u = self._Q @ vecs[:, -1]
         phi = u / _measure_weights(rgrid)
@@ -214,10 +210,9 @@ class BsSolver:
             phi = -phi
         norm = math.sqrt(4.0 * math.pi * np.sum(w * r * r * phi * phi))
         return SpectralTop(
-            lambda1=float(top_vals[0]),
-            lambda2=float(top_vals[1]),
+            lambda1=float(vals[-1]),
+            lambda2=float(vals[-2]),
             vector1=RadialFunction(grid=rgrid, values=phi / norm),
-            eigenvalues=top_vals,
         )
 
     def lambda_of(self, beta_or_inf: float) -> float:
@@ -308,7 +303,7 @@ class BsSolver:
     def extract_pair_state(
         self, tc: CriticalTemperature, gap_tol: float
     ) -> tuple[PairState, SpectralTop]:
-        top = self.top(tc.beta_c, m=2)
+        top = self.top(tc.beta_c)
         if top.gap < gap_tol:
             raise AssumptionViolation(
                 f"leading eigenvalue nearly degenerate (gap {top.gap:.3e} < {gap_tol:g}); "

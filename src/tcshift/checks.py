@@ -53,7 +53,7 @@ from .kernels import (
 )
 from .model import Numerics, PhysicalModel
 
-__all__ = ["CheckResult", "Artifacts", "run_identity_checks", "rbound_minorant", "CHECKS"]
+__all__ = ["CheckResult", "run_identity_checks", "rbound_minorant", "CHECKS"]
 
 SEED = 20240811
 
@@ -169,20 +169,6 @@ class CheckResult:
     category: str  # closed_form | identity | oracle
 
 
-@dataclass(frozen=True)
-class Artifacts:
-    """Immutable pipeline outputs the checks run against; ``solver.grids`` is the grid pair."""
-
-    model: PhysicalModel
-    numerics: Numerics
-    solver: BsSolver
-    tc: CriticalTemperature
-    pair: PairState
-    top: SpectralTop
-    t_profile: TProfile
-    gl: GlCoefficients
-
-
 def _fd_laplacian(beta, mu, k, h):
     def f_par(t):
         return L_pq(beta, mu, abs(k + t / 2.0), abs(k - t / 2.0))
@@ -223,10 +209,21 @@ def _scaled(model: PhysicalModel, c: float) -> PhysicalModel:
     return replace(model, V=replace(model.V, amplitude=c * model.V.amplitude))
 
 
-def run_identity_checks(arts: Artifacts, tolerance_scale: float = 1.0) -> list[CheckResult]:
-    """The full battery, in ``CHECKS`` order; failures recorded, never thrown."""
-    model, tc, gl, t, pair = arts.model, arts.tc, arts.gl, arts.t_profile, arts.pair
-    solver = arts.solver
+def run_identity_checks(
+    model: PhysicalModel,
+    numerics: Numerics,
+    solver: BsSolver,
+    tc: CriticalTemperature,
+    pair_top: tuple[PairState, SpectralTop],
+    t: TProfile,
+    gl: GlCoefficients,
+    tolerance_scale: float = 1.0,
+) -> list[CheckResult]:
+    """The full battery, in ``CHECKS`` order; failures recorded, never thrown.
+
+    The arguments are the pipeline's stage outputs; ``solver.grids`` is their grid pair.
+    """
+    pair, top = pair_top
     rgrid = solver.grids.rgrid
     rng = np.random.default_rng(SEED)
     m = {}  # check id -> measured value; the order below fixes the random draws
@@ -298,8 +295,8 @@ def run_identity_checks(arts: Artifacts, tolerance_scale: float = 1.0) -> list[C
     # --- coefficient identities ----------------------------------------------
     m["lambda0_positive"] = gl.lambda0
     m["lambda2_positive"] = gl.lambda2
-    m["spectral_gap_positive"] = arts.top.gap
-    n_pos = normalization_position_route(pair, tc, model, arts.numerics)
+    m["spectral_gap_positive"] = top.gap
+    n_pos = normalization_position_route(pair, tc, model, numerics)
     m["norm_two_route"] = abs(n_pos - t.normalization_N) / t.normalization_N
 
     # kernel on an independent momentum quadrature, so the two routes do not
@@ -307,7 +304,7 @@ def run_identity_checks(arts: Artifacts, tolerance_scale: float = 1.0) -> list[C
     worst_a0 = 0.0
     beta_probe = 2.5
     pgrid_indep = build_momentum_grid(
-        arts.numerics.resolved_p_max(model), (3 * arts.numerics.n_p) // 2, mu=model.mu
+        numerics.resolved_p_max(model), (3 * numerics.n_p) // 2, mu=model.mu
     )
     K_probe = assemble_chi_kernel(beta_probe, model.mu, GridPair(rgrid, pgrid_indep))
     for _ in range(5):
@@ -341,7 +338,7 @@ def run_identity_checks(arts: Artifacts, tolerance_scale: float = 1.0) -> list[C
         TProfile(pgrid=t.pgrid, values=-t.values, normalization_N=t.normalization_N),
         tc,
         model.mu,
-        arts.top.gap,
+        top.gap,
     )
     m["t_sign_covariance"] = max(
         abs(lam_flip.lambda0 - gl.lambda0),

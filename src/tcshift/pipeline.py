@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .birman_schwinger import BsSolver
-from .checks import Artifacts, CheckResult, run_identity_checks
+from .checks import run_identity_checks
 from .errors import AssumptionViolation, ConfigError
 from .gl import compute_lambdas, compute_t
 from .model import (
@@ -32,7 +32,7 @@ from .model import (
     model_to_dict,
     validate_assumptions,
 )
-from .schrodinger import EffectiveProblem, TcShiftReport, compute_dc, ground_energy, tc_of_h
+from .schrodinger import EffectiveProblem, compute_dc, ground_energy, tc_of_h
 
 __all__ = [
     "Pipeline",
@@ -59,29 +59,64 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-# Direct inputs of each stage: the PhysicalModel fields it reads and the
-# stages it uses.  Entries come after every stage they use.  ``validation``
-# is a precondition that ``tc`` checks, not an input, so a new W keeps the
-# coefficients (W enters only the effective operator p^2 + (lambda1/lambda0) W).
-# ``V.shape`` is V but for its gain: a change that moves only the amplitude
-# of a parametric V is ``V.amplitude``, which reaches the readers of ``V``
-# but not those of ``V.shape`` (a new solver on kept grids shares the
-# compressed shape factor; see ``BsSolver``).
+# Each stage: the PhysicalModel fields it reads, the stages it uses and its
+# builder, called as ``build(model, numerics, *uses)`` with the value of each
+# used stage in order, so a stage sees no stage it does not declare.  Entries
+# come after every stage they use.  ``validation`` is a precondition that
+# ``tc`` checks, not an input, so a new W keeps the coefficients (W enters
+# only the effective operator p^2 + (lambda1/lambda0) W).  ``V.shape`` is V
+# but for its gain: a change that moves only the amplitude of a parametric V
+# is ``V.amplitude``, which reaches the readers of ``V`` but not those of
+# ``V.shape`` (a new solver on kept grids shares the compressed shape factor;
+# see ``BsSolver``).  Builders name module-level functions at call time, so a
+# wrapper bound to such a name later sees every call.
 STAGES = {
-    "grids": (("V.shape", "mu"), ()),
-    "solver": (("V", "mu"), ("grids",)),
-    "validation": (("V", "W", "mu"), ("solver",)),
-    "tc": ((), ("solver",)),
-    "pair_top": ((), ("solver", "tc")),
-    "t_profile": (("mu",), ("pair_top", "tc", "grids")),
-    "gl": (("mu",), ("t_profile", "tc", "pair_top")),
-    "ground_state": (("W",), ("gl",)),
-    "dc": ((), ("gl", "ground_state")),
-    "shift": (("h_values",), ("gl", "dc")),
-    "checks": (("V", "mu"), ("solver", "tc", "pair_top", "t_profile", "gl")),
+    "grids": (("V.shape", "mu"), (), lambda model, numerics: numerics.build_grids(model)),
+    "solver": (("V", "mu"), ("grids",), lambda model, numerics, grids: BsSolver(model, grids)),
+    "validation": (
+        ("V", "W", "mu"), ("solver",),
+        lambda model, numerics, solver: validate_assumptions(model, numerics, solver),
+    ),
+    "tc": (
+        (), ("solver",),
+        lambda model, numerics, solver: solver.solve_beta_c(
+            numerics.beta_bracket, numerics.beta_c_rel_tol
+        ),
+    ),
+    "pair_top": (
+        (), ("solver", "tc"),
+        lambda model, numerics, solver, tc: solver.extract_pair_state(tc, numerics.gap_tol),
+    ),
+    "t_profile": (
+        ("mu",), ("pair_top", "tc", "grids"),
+        lambda model, numerics, pair_top, tc, grids: compute_t(pair_top[0], tc, model, grids),
+    ),
+    "gl": (
+        ("mu",), ("t_profile", "tc", "pair_top"),
+        lambda model, numerics, t, tc, pair_top: compute_lambdas(
+            t, tc, model.mu, pair_top[1].gap
+        ),
+    ),
+    "ground_state": (
+        ("W",), ("gl",),
+        lambda model, numerics, gl: ground_energy(
+            EffectiveProblem.from_gl(gl, model.W, numerics.domain_radius, numerics.n_points)
+        ),
+    ),
+    "dc": ((), ("gl", "ground_state"), lambda model, numerics, gl, gs: compute_dc(gl, gs)),
+    "shift": (
+        ("h_values",), ("gl", "dc"),
+        lambda model, numerics, gl, dc: tc_of_h(gl, dc, model.h_values),
+    ),
+    "checks": (
+        ("V", "mu"), ("solver", "tc", "pair_top", "t_profile", "gl"),
+        lambda model, numerics, solver, tc, pair_top, t, gl: run_identity_checks(
+            model, numerics, solver, tc, pair_top, t, gl
+        ),
+    ),
 }
 
-_READ_PATHS = {path for reads, _ in STAGES.values() for path in reads}
+_READ_PATHS = {path for reads, _uses, _build in STAGES.values() for path in reads}
 
 
 def _tc_section(p: "Pipeline", manifest: dict, diagnostics: dict) -> dict:
@@ -130,7 +165,7 @@ def stages_reading(fields) -> set:
     """Stages that read any of the model paths ``fields``, directly or through a stage they use."""
     touched = {r for r in _READ_PATHS if any(_touches(f, r) for f in fields)}
     reached = set()
-    for name, (reads, uses) in STAGES.items():
+    for name, (reads, uses, _build) in STAGES.items():
         if touched.intersection(reads) or reached.intersection(uses):
             reached.add(name)
     return reached
@@ -185,14 +220,6 @@ class Pipeline:
         self._cache: dict = {}
         self.cache_hits = 0
 
-    def _memo(self, key, builder):
-        if key in self._cache:
-            self.cache_hits += 1
-            return self._cache[key]
-        value = builder()
-        self._cache[key] = value
-        return value
-
     def derive(self, **model_changes) -> "Pipeline":
         """Pipeline on ``dataclasses.replace(model, **model_changes)`` sharing unaffected stages.
 
@@ -214,10 +241,22 @@ class Pipeline:
 
     # --- stages -------------------------------------------------------------
 
-    def validation(self):
-        return self._memo(
-            "validation", lambda: validate_assumptions(self.model, self.numerics, self.solver())
-        )
+    def _stage(self, name: str):
+        """Stage ``name``'s value, built from its uses (see ``STAGES``) on first request.
+
+        Each use is requested through its method, so a wrapper on a stage
+        method sees the nested requests.  ``tc`` first requires a passing
+        validation, on every request.
+        """
+        _reads, uses, build = STAGES[name]
+        if name == "tc":
+            self.require_assumptions()
+        if name in self._cache:
+            self.cache_hits += 1
+            return self._cache[name]
+        value = build(self.model, self.numerics, *(getattr(self, use)() for use in uses))
+        self._cache[name] = value
+        return value
 
     def require_assumptions(self):
         report = self.validation()
@@ -225,71 +264,6 @@ class Pipeline:
             failed = [i.name for i in report.items if not i.passed]
             raise AssumptionViolation(f"model validation failed: {', '.join(failed)}")
         return report
-
-    def grids(self):
-        return self._memo("grids", lambda: self.numerics.build_grids(self.model))
-
-    def solver(self) -> BsSolver:
-        return self._memo("solver", lambda: BsSolver(self.model, self.grids()))
-
-    def tc(self):
-        self.require_assumptions()
-        return self._memo(
-            "tc",
-            lambda: self.solver().solve_beta_c(
-                self.numerics.beta_bracket, self.numerics.beta_c_rel_tol
-            ),
-        )
-
-    def pair_top(self):
-        return self._memo(
-            "pair_top", lambda: self.solver().extract_pair_state(self.tc(), self.numerics.gap_tol)
-        )
-
-    def t_profile(self):
-        return self._memo(
-            "t_profile",
-            lambda: compute_t(self.pair_top()[0], self.tc(), self.model, self.grids()),
-        )
-
-    def gl(self):
-        return self._memo(
-            "gl",
-            lambda: compute_lambdas(
-                self.t_profile(), self.tc(), self.model.mu, self.pair_top()[1].gap
-            ),
-        )
-
-    def ground_state(self):
-        def build():
-            problem = EffectiveProblem.from_gl(
-                self.gl(), self.model.W, self.numerics.domain_radius, self.numerics.n_points
-            )
-            return ground_energy(problem)
-
-        return self._memo("ground_state", build)
-
-    def dc(self) -> float:
-        return self._memo("dc", lambda: compute_dc(self.gl(), self.ground_state()))
-
-    def shift(self) -> TcShiftReport:
-        return self._memo("shift", lambda: tc_of_h(self.gl(), self.dc(), self.model.h_values))
-
-    def checks(self) -> list[CheckResult]:
-        def build():
-            arts = Artifacts(
-                model=self.model,
-                numerics=self.numerics,
-                solver=self.solver(),
-                tc=self.tc(),
-                pair=self.pair_top()[0],
-                top=self.pair_top()[1],
-                t_profile=self.t_profile(),
-                gl=self.gl(),
-            )
-            return run_identity_checks(arts)
-
-        return self._memo("checks", build)
 
     # --- bundling -------------------------------------------------------------
 
@@ -325,6 +299,19 @@ class Pipeline:
         diagnostics["finished_at"] = datetime.now(timezone.utc).isoformat()
         diagnostics["cache_hits"] = self.cache_hits  # stage reads served from this cache
         return result, diagnostics
+
+
+def _stage_method(name: str):
+    def stage(self):
+        return self._stage(name)
+
+    stage.__name__, stage.__qualname__ = name, f"Pipeline.{name}"
+    stage.__doc__ = f"The cached ``{name}`` stage (see ``STAGES``)."
+    return stage
+
+
+for _name in STAGES:
+    setattr(Pipeline, _name, _stage_method(_name))
 
 
 def sweep(cfg: dict, axis: str, values, threads: int = 1) -> list[dict]:
@@ -373,12 +360,12 @@ def sweep(cfg: dict, axis: str, values, threads: int = 1) -> list[dict]:
         return row
 
     # warm the stages no point can change once, so every point reuses them and
-    # pool threads never race to build them; a failure here is left for the
-    # points to meet and record in their rows.  A v_amplitude point moves only
-    # the amplitude of a parametric V (a tabulated V is refused above).
-    moved = "V.amplitude" if axis == "v_amplitude" else field_name
-    shared = stages_used("shift") - stages_reading([moved])
+    # pool threads never race to build them; a failure here (a first value the
+    # model refuses included) is left for the points to meet and record in
+    # their rows.
     try:
+        moved = _changed_paths(base_model, {field_name: field_value(base_model, values[0])})
+        shared = stages_used("shift") - stages_reading(moved)
         for name in STAGES:
             if name in shared:
                 getattr(base, name)()

@@ -79,14 +79,14 @@ class TestTopEigenvalues:
             W=ExternalField(family="zero"),
             mu=1.0,
         )
-        top = BsSolver(m, grids).top(1.0, 2)
+        top = BsSolver(m, grids).top(1.0)
         assert top.lambda1 == 0.0 and top.lambda2 == 0.0 and top.gap == 0.0
 
     def test_rank_one(self, model, grids):
         # a one-node momentum grid makes G a single column
         one_node = RadialGrid(nodes=np.array([0.5]), weights=np.array([1.0]), r_max=1.0)
         s = BsSolver(model, GridPair(grids.rgrid, one_node))
-        top = s.top(1.0, 3)
+        top = s.top(1.0)
         assert top.lambda1 == pytest.approx(float(np.trace(s.matrix(1.0))), rel=1e-12)
         assert abs(top.lambda2) < 1e-12 * top.lambda1
 
@@ -104,10 +104,6 @@ class TestTopEigenvalues:
         u = s * phi.values
         back = u / s
         assert np.max(np.abs(back - phi.values)) < 1e-14 * np.max(np.abs(phi.values))
-
-    def test_requires_two(self, solver):
-        with pytest.raises(ValueError):
-            solver.top(1.0, 1)
 
 
 class TestLambdaOfBeta:

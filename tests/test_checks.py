@@ -8,30 +8,23 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tcshift.checks import CHECKS, Artifacts, rbound_minorant, run_identity_checks
+from tcshift.checks import CHECKS, rbound_minorant, run_identity_checks
 from tcshift.gl import compute_lambdas, compute_t
 
 
 @pytest.fixture(scope="module")
 def artifacts(model, numerics, solver, tc, pair_and_top):
-    pair, top = pair_and_top
-    t = compute_t(pair, tc, model, solver.grids)
-    gl = compute_lambdas(t, tc, model.mu, top.gap)
-    return Artifacts(
-        model=model,
-        numerics=numerics,
-        solver=solver,
-        tc=tc,
-        pair=pair,
-        top=top,
-        t_profile=t,
-        gl=gl,
+    """``run_identity_checks``'s keyword arguments on the default model."""
+    t = compute_t(pair_and_top[0], tc, model, solver.grids)
+    gl = compute_lambdas(t, tc, model.mu, pair_and_top[1].gap)
+    return dict(
+        model=model, numerics=numerics, solver=solver, tc=tc, pair_top=pair_and_top, t=t, gl=gl
     )
 
 
 @pytest.fixture(scope="module")
 def results(artifacts):
-    return run_identity_checks(artifacts)
+    return run_identity_checks(**artifacts)
 
 
 class TestBattery:
@@ -43,30 +36,30 @@ class TestBattery:
         assert [r.id for r in results] == list(CHECKS)
 
     def test_reproducible(self, artifacts, results):
-        again = run_identity_checks(artifacts)
+        again = run_identity_checks(**artifacts)
         assert [(r.id, r.measured) for r in again] == [(r.id, r.measured) for r in results]
 
     def test_corrupted_thermal_coefficient_trips_slope_check(self, artifacts):
-        bad_gl = dataclasses.replace(artifacts.gl, lambda2=1.1 * artifacts.gl.lambda2)
-        bad = dataclasses.replace(artifacts, gl=bad_gl)
-        res = {r.id: r for r in run_identity_checks(bad)}
+        bad_gl = dataclasses.replace(artifacts["gl"], lambda2=1.1 * artifacts["gl"].lambda2)
+        res = {r.id: r for r in run_identity_checks(**{**artifacts, "gl": bad_gl})}
         slope = res["gl_thermal_slope"]
         assert not slope.passed
         # measured relative deviation ~ 1 - 1/1.1
         assert slope.measured == pytest.approx(1.0 - 1.0 / 1.1, rel=1e-2)
 
     def test_corrupted_gap_trips_gt_bound(self, artifacts):
-        top = dataclasses.replace(artifacts.top, lambda2=artifacts.top.lambda1 + 0.1)
-        res = {r.id: r for r in run_identity_checks(dataclasses.replace(artifacts, top=top))}
+        pair, top = artifacts["pair_top"]
+        top = dataclasses.replace(top, lambda2=top.lambda1 + 0.1)
+        res = {r.id: r for r in run_identity_checks(**{**artifacts, "pair_top": (pair, top)})}
         assert [cid for cid, r in res.items() if not r.passed] == ["spectral_gap_positive"]
         gap = res["spectral_gap_positive"]
         assert gap.measured == pytest.approx(-0.1, rel=1e-12)
         assert (gap.expected, gap.tolerance) == (0.0, 0.0)
 
     def test_corrupted_bracket_trips_leq_bound(self, artifacts):
-        hi = artifacts.tc.bracket[1]
-        tc = dataclasses.replace(artifacts.tc, bracket=(hi, 2 * hi))
-        res = {r.id: r for r in run_identity_checks(dataclasses.replace(artifacts, tc=tc))}
+        hi = artifacts["tc"].bracket[1]
+        tc = dataclasses.replace(artifacts["tc"], bracket=(hi, 2 * hi))
+        res = {r.id: r for r in run_identity_checks(**{**artifacts, "tc": tc})}
         assert [cid for cid, r in res.items() if not r.passed] == ["bracket_certificate"]
         cert = res["bracket_certificate"]
         assert cert.measured > 0.0
@@ -78,7 +71,7 @@ class TestBattery:
         assert results[-1].description.endswith(f"(c={c:.4g}, E0={e0:.4g})")
 
     def test_tolerance_tightening_classifies(self, artifacts):
-        res = {r.id: r for r in run_identity_checks(artifacts, tolerance_scale=1e-6)}
+        res = {r.id: r for r in run_identity_checks(**artifacts, tolerance_scale=1e-6)}
         # quadrature- and truncation-limited checks fail a million-fold tightening
         quadrature_limited = (
             "matsubara_tanh_convergence",

@@ -2,6 +2,7 @@
 serialization round-trips, exit codes."""
 
 import dataclasses
+import inspect
 import json
 import math
 import subprocess
@@ -140,7 +141,7 @@ class TestPipeline:
     def test_stage_table_is_ordered(self):
         # stages_reading and stages_used rely on each entry following the stages it uses
         seen = set()
-        for name, (_reads, uses) in STAGES.items():
+        for name, (_reads, uses, _build) in STAGES.items():
             assert set(uses) <= seen, name
             assert callable(Pipeline.__dict__.get(name)), name
             seen.add(name)
@@ -183,39 +184,14 @@ class TestPipeline:
             for section in sections[i + 1 :]:
                 assert result[section] == ([] if section == "checks" else None), (verb, section)
 
-    def test_stage_bodies_request_their_uses(self, monkeypatch):
-        # derive trusts STAGES for cache reuse; each stage's method must read exactly
-        # the stages listed as its uses.  validation is tc's precondition, which runs
-        # outside tc's memo, so it is set aside here.
-        requested, building, precondition = {}, [], []
-        memo, require = Pipeline._memo, Pipeline.require_assumptions
-
-        def spied_memo(pipe, key, builder):
-            if building and not precondition:
-                requested[building[-1]].add(key)
-
-            def traced():
-                building.append(key)
-                requested[key] = set()
-                try:
-                    return builder()
-                finally:
-                    building.pop()
-
-            return memo(pipe, key, traced)
-
-        def spied_require(pipe):
-            precondition.append(True)
-            try:
-                return require(pipe)
-            finally:
-                precondition.pop()
-
-        monkeypatch.setattr(Pipeline, "_memo", spied_memo)
-        monkeypatch.setattr(Pipeline, "require_assumptions", spied_require)
-        model, numerics = model_from_dict(CFG)
-        Pipeline(model, numerics, CFG).bundle("verify")
-        assert requested == {name: set(uses) for name, (_reads, uses) in STAGES.items()}
+    def test_stage_builders_take_their_uses(self):
+        # derive trusts STAGES for cache reuse; a builder receives the model, the
+        # numerics and the value of each declared use, so it reads no other stage
+        for name, (_reads, uses, build) in STAGES.items():
+            params = inspect.signature(build).parameters.values()
+            assert [p.name for p in params][:2] == ["model", "numerics"], name
+            positional = [inspect.Parameter.POSITIONAL_OR_KEYWORD] * (2 + len(uses))
+            assert [p.kind for p in params] == positional, name
 
 
 class TestEmit:
@@ -441,6 +417,15 @@ class TestCli:
         cfg_path = write_cfg(tmp_path, bad)
         code = self.run_cli("validate", "--config", str(cfg_path), "--out", str(tmp_path / "v"))
         assert code == 3
+
+    def test_tc_requires_passing_validation(self, tmp_path):
+        # validation is tc's precondition, not one of its inputs
+        cfg = json.loads((CONFIGS / "gaussian.json").read_text())
+        cfg["V"]["amplitude"] = 0.0
+        cfg_path = write_cfg(tmp_path, cfg)
+        code = self.run_cli("tc", "--config", str(cfg_path), "--out", str(tmp_path / "t"))
+        record = json.loads((tmp_path / "t" / "error.json").read_text())
+        assert code == 3 and record["error"] == "AssumptionViolation"
 
     def test_no_bracket_exit_code_and_error_record(self, tmp_path):
         bad = json.loads(json.dumps(CFG))
