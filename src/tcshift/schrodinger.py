@@ -82,20 +82,57 @@ class EffectiveGroundState:
     ladder: LadderStats | None = None
 
 
+def _folds(W: ExternalField, n: int) -> bool:
+    """Whether the n-node level is solved on the half line x > 0 only.
+
+    An even one_d field makes the level's matrix persymmetric, so its
+    positive ground state is even.  With n = 2m the centre falls midway
+    between two nodes, and v_0 = v_1 for the half line's nodes
+    x_k = (k - 1/2) h, k = 1..m, makes the centre a mirror end.  An odd n
+    puts a node at x = 0 and stays on the full line, as does a table, which
+    may be asymmetric; radial_3d is a half line already.
+    """
+    return W.dimensionality == "one_d" and W.family != "tabulated_1d" and n % 2 == 0
+
+
+def _axis(prob: EffectiveProblem, n: int) -> tuple[float, np.ndarray]:
+    """Spacing and nodes of the n-node level; a folded level holds only x > 0."""
+    R = prob.domain_radius
+    if prob.W.dimensionality == "radial_3d":
+        # u = r psi reduces the s-wave problem to a Dirichlet line on (0, R)
+        h, first, count, origin = R / (n + 1), 1.0, n, 0.0
+    elif _folds(prob.W, n):
+        h, first, count, origin = 2.0 * R / (n + 1), 0.5, n // 2, 0.0
+    else:
+        h, first, count, origin = 2.0 * R / (n + 1), 1.0, n, -R
+    x = np.arange(first, first + count)
+    x *= h
+    x += origin
+    return h, x
+
+
 def _potential_on_axis(prob: EffectiveProblem, x: np.ndarray, h: float) -> np.ndarray:
     """coupling * W sampled on the grid; discontinuous wells are cell-averaged.
 
     Point-sampling a jump makes the eigenvalue error O(h) with an
     alignment-dependent constant; averaging W over each grid cell restores
     clean second-order convergence (and Richardson extrapolation with it).
+    Radial nodes are positive, so W reads them as radii.
     """
     if prob.W.family == "square_well_1d":
-        a, amp = prob.W.range, prob.W.amplitude
-        lo, hi = x - 0.5 * h, x + 0.5 * h
-        overlap = np.clip(np.minimum(hi, a) - np.maximum(lo, -a), 0.0, None)
-        return prob.coupling * amp * overlap / h
-    coord = np.abs(x) if prob.W.dimensionality == "radial_3d" else x
-    return prob.coupling * prob.W(coord)
+        a = prob.W.range
+        overlap = x + 0.5 * h
+        np.minimum(overlap, a, out=overlap)
+        lo = x - 0.5 * h
+        np.maximum(lo, -a, out=lo)
+        overlap -= lo
+        np.maximum(overlap, 0.0, out=overlap)
+        overlap *= prob.coupling * prob.W.amplitude
+        overlap /= h
+        return overlap
+    u_pot = prob.W(x)
+    u_pot *= prob.coupling
+    return u_pot
 
 
 # A level's eigenpair is accepted once ||A v - ev v|| <= RESIDUAL_C * eps * ||A||,
@@ -111,10 +148,18 @@ PRE_LEVEL_MIN_NODES = 64
 
 
 def _dirichlet_lowest(
-    u_pot: np.ndarray, h: float, guess: tuple[float, np.ndarray] | None = None
+    u_pot: np.ndarray,
+    h: float,
+    guess: tuple[float, np.ndarray] | None = None,
+    mirror: bool = False,
 ) -> tuple[float, np.ndarray, float, bool, int]:
     """Lowest eigenpair of A = -u'' + U u on the interior grid, Dirichlet ends.
 
+    With ``mirror`` the left end is a mirror instead, v_0 = v_1, so the
+    first diagonal entry is 1/h^2 + U_1: the x > 0 half of an even problem.
+    (At that end the eigenvector is largest; with the mirror as the last
+    row, dgtsv's last pivot is a vanishing difference that can round to
+    exactly zero and send the level to the fallback.)
     Inverse iteration from ``guess``, an approximate eigenvalue and vector
     (in ``ground_energy`` the coarser level's pair, interpolated; the first
     ladder level's coarser level is the small pre-level), taking the
@@ -128,52 +173,83 @@ def _dirichlet_lowest(
     solve or the certificate fails, LAPACK bisection and inverse iteration
     solve the level instead.
 
-    The guess vector is overwritten.  Returns (eigenvalue, unit eigenvector,
-    residual r, whether it fell back, shifted solves made).
+    Besides u_pot and the vector, the level holds three work arrays, which
+    every use refills and LAPACK overwrites.  The guess vector is
+    overwritten.  Returns (eigenvalue, unit eigenvector, residual r, whether
+    it fell back, shifted solves made).
     """
     # imported here: scipy.linalg costs ~0.3 s, and only dc/shift/verify get this far
     from scipy.linalg import eigh_tridiagonal
     from scipy.linalg.lapack import dgtsv, dpttrf
 
     inv_h2 = 1.0 / (h * h)
-    diag = 2.0 * inv_h2 + u_pot
-    off = np.full(len(u_pot) - 1, -inv_h2)
-    pad = RESIDUAL_C * np.finfo(float).eps * (float(np.max(np.abs(diag))) + 2.0 * inv_h2)
+    n = len(u_pot)
+    d, dl, du = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+
+    def diagonal(shift):
+        """d := the diagonal of A - shift I."""
+        np.add(u_pot, 2.0 * inv_h2, out=d)
+        if mirror:
+            d[0] = inv_h2 + u_pot[0]
+        return np.subtract(d, shift, out=d)
+
+    def shifted(shift):
+        """(d, dl) := A - shift I for LAPACK, which overwrites both."""
+        dl.fill(-inv_h2)
+        return diagonal(shift), dl
+
+    # max |A_jj| from the extremes of U: rounding is monotone, so they give the extreme entries
+    top = max(2.0 * inv_h2 + float(u_pot.max()), -(2.0 * inv_h2 + float(u_pot.min())))
+    if mirror:
+        top = max(top, abs(inv_h2 + float(u_pot[0])))
+    pad = RESIDUAL_C * np.finfo(float).eps * (top + 2.0 * inv_h2)
 
     def rayleigh(v):
         # difference form: the 2/h^2 of the diagonal never cancels against the off-diagonal
-        dv = np.diff(v)
-        return float((dv @ dv + v[0] * v[0] + v[-1] * v[-1]) * inv_h2 + u_pot @ (v * v))
+        np.subtract(v[1:], v[:-1], out=dl)
+        ends = dl @ dl
+        if not mirror:
+            ends += v[0] * v[0]
+        ends += v[-1] * v[-1]
+        np.multiply(v, v, out=d)
+        return float(ends * inv_h2 + u_pot @ d)
 
     def residual(v, ev):
-        res = (diag - ev) * v
-        res[1:] -= inv_h2 * v[:-1]
-        res[:-1] -= inv_h2 * v[1:]
-        return float(np.linalg.norm(res))
+        res = diagonal(ev)
+        res *= v
+        np.multiply(v[:-1], inv_h2, out=dl)
+        res[1:] -= dl
+        np.multiply(v[1:], inv_h2, out=dl)
+        res[:-1] -= dl
+        return math.sqrt(res @ res)
 
     if guess is None:
         shift = float(
-            eigh_tridiagonal(diag, off, select="i", select_range=(0, 0), eigvals_only=True)[0]
+            eigh_tridiagonal(*shifted(0.0), select="i", select_range=(0, 0), eigvals_only=True)[0]
         )
         v = np.ones_like(u_pot)
     else:
         shift, v = guess
     for solves in range(1, MAX_SOLVES + 1):
+        shifted(shift)
+        du.fill(-inv_h2)
         # the solve writes its result over v: the guess vector or the last iterate
-        *_, v, info = dgtsv(off, diag - shift, off, v, overwrite_d=1, overwrite_b=1)
-        scale = np.linalg.norm(v)
+        *_, v, info = dgtsv(
+            dl, d, du, v, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1
+        )
+        scale = math.sqrt(v @ v)
         if info != 0 or not math.isfinite(scale) or scale == 0.0:
             break
         v /= scale
         ev = rayleigh(v)
         r = residual(v, ev)
         if r <= pad:
-            if dpttrf(diag - (ev - r - pad), off, overwrite_d=1)[2] == 0:
+            if dpttrf(*shifted(ev - r - pad), overwrite_d=1, overwrite_e=1)[2] == 0:
                 return ev, v, r, False, solves
             break
         shift = ev
 
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    vals, vecs = eigh_tridiagonal(*shifted(0.0), select="i", select_range=(0, 0))
     v = vecs[:, 0]
     ev = float(vals[0])
     return ev, v, residual(v, ev), True, solves
@@ -181,27 +257,31 @@ def _dirichlet_lowest(
 
 class _Level(NamedTuple):
     ev: float
-    vec: np.ndarray
+    vec: np.ndarray  # on the level's nodes, x > 0 only when it folds
     residual: float
     fell_back: bool
     solves: int
-    x: np.ndarray
-    u_pot: np.ndarray  # coupling * W on x, as the level's matrix holds it
+    n: int  # interior nodes of the full problem
+    u_min: float  # least entry of coupling * W as the level's matrix holds it
 
 
 def _solve_at_resolution(prob: EffectiveProblem, n: int, coarse: _Level | None = None) -> _Level:
-    """Lowest box eigenpair on n interior nodes, refined from a coarser level if given."""
-    R = prob.domain_radius
-    if prob.W.dimensionality == "radial_3d":
-        # u = r psi reduces the s-wave problem to a Dirichlet line on (0, R)
-        h = R / (n + 1)
-        x = h * np.arange(1, n + 1)
-    else:
-        h = 2.0 * R / (n + 1)
-        x = -R + h * np.arange(1, n + 1)
-    guess = None if coarse is None else (coarse.ev, np.interp(x, coarse.x, coarse.vec))
+    """Lowest box eigenpair on n interior nodes, refined from a coarser level if given.
+
+    A level that ``_folds`` is solved on x > 0 with a mirror end at the centre.
+    """
+    fold = _folds(prob.W, n)
+    h, x = _axis(prob, n)
     u_pot = _potential_on_axis(prob, x, h)
-    return _Level(*_dirichlet_lowest(u_pot, h, guess), x=x, u_pot=u_pot)
+    guess = None
+    if coarse is not None:
+        if _folds(prob.W, coarse.n):
+            # a folded coarse level holds the even profile at |x|
+            np.abs(x, out=x)
+        guess = (coarse.ev, np.interp(x, _axis(prob, coarse.n)[1], coarse.vec))
+    del x  # the solve's work arrays take its room
+    level = _dirichlet_lowest(u_pot, h, guess, mirror=fold)
+    return _Level(*level, n=n, u_min=float(u_pot.min()))
 
 
 def ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGroundState:
@@ -216,8 +296,10 @@ def ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGro
     max(n_points // PRE_LEVEL_DIVISOR, PRE_LEVEL_MIN_NODES) nodes, the only
     solve that starts by bisection (see
     ``_dirichlet_lowest``); the pre-level counts in ``solves`` and
-    ``fallbacks`` but is not one of the ``levels``.  A bound state whose
-    mass reaches the box edge raises DomainTooSmall.
+    ``fallbacks`` but is not one of the ``levels``.  Even one_d fields are
+    solved on the half line x > 0 (``_folds``), which holds the same lowest
+    eigenvalue.  A bound state whose mass reaches the box edge raises
+    DomainTooSmall.
     """
     # + 0.0 turns the -0.0 of a negative coupling times a vanishing field into 0.0
     b = prob.W.boundary_value(prob.coupling) + 0.0
@@ -244,14 +326,12 @@ def ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGro
         raise ConvergenceError(
             f"ground energy not converged: last n-to-2n change {delta:.3e}"
         )
-    vec, x = fine.vec, fine.x
 
     bound = extrapolated < b - rel_tol * max(1.0, abs(b))
     if bound:
-        mass = vec * vec
-        edge = x > 0.9 * prob.domain_radius
-        if prob.W.dimensionality == "one_d":
-            edge |= x < -0.9 * prob.domain_radius
+        mass = fine.vec * fine.vec
+        x = _axis(prob, fine.n)[1]
+        edge = np.abs(x, out=x) > 0.9 * prob.domain_radius
         leak = float(mass[edge].sum() / mass.sum())
         if leak > 1e-4:
             raise DomainTooSmall(
@@ -259,7 +339,7 @@ def ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGro
                 "enlarge domain_radius"
             )
     e0 = min(extrapolated, b)
-    grid_min = float(np.min(fine.u_pot))
+    grid_min = fine.u_min
     if e0 < grid_min - 1e-9 * max(1.0, abs(grid_min)):
         raise ConvergenceError("ground energy fell below the potential minimum")
     return EffectiveGroundState(
@@ -269,7 +349,7 @@ def ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGro
         essential_bottom=float(b),
         ladder=LadderStats(
             levels=levels,
-            final_n=len(x),
+            final_n=fine.n,
             domain_radius=float(prob.domain_radius),
             max_residual=float(max_residual),
             fallbacks=fallbacks,

@@ -626,6 +626,18 @@ class TestCli:
         config = str(CONFIGS / "square_well_1d.json")
         assert self.run_cli("gl", "--config", config, "--out", str(tmp_path)) == 0
 
+    def test_square_well_config_dc_names_the_truncated_box(self, tmp_path):
+        # the half-line solve sees the same edge mass as the full line did
+        config = str(CONFIGS / "square_well_1d.json")
+        assert self.run_cli("dc", "--config", config, "--out", str(tmp_path)) == 6
+        record = json.loads((tmp_path / "error.json").read_text())
+        assert record == {
+            "error": "DomainTooSmall",
+            "message": "bound state keeps 7.06e-04 of its mass near the box edge; "
+            "enlarge domain_radius",
+            "exit_code": 6,
+        }
+
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

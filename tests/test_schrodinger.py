@@ -5,7 +5,9 @@ k tan(k a) = sqrt(V0 - k^2), E = k^2 - V0, solved here by bracketed root
 finding as the independent reference.
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,12 +354,23 @@ def tridiagonal_orders(monkeypatch):
 class TestPreLevel:
     """Only a pre-level of max(n_points // 16, 64) nodes starts by bisection."""
 
-    @pytest.mark.parametrize("family", ["gaussian_well", "square_well_1d", "constant"])
-    def test_one_small_bisection(self, tridiagonal_orders, family):
-        gs = ground_energy(bench_field_problem(family, -20.0))
-        assert tridiagonal_orders == [2000 // PRE_LEVEL_DIVISOR] == [125]
+    @pytest.mark.parametrize(
+        "family, n_points, order",
+        [
+            pytest.param("gaussian_well", 2000, 125, id="gaussian_well"),
+            pytest.param("constant", 2000, 125, id="constant"),
+            # an odd pre-level has a node at x = 0 and stays on the full line
+            pytest.param("square_well_1d", 2000, 125, id="square_well_1d"),
+            # an even one folds: its 130 nodes are bisected on their x > 0 half
+            pytest.param("square_well_1d", 2080, 65, id="square_well_1d-folded"),
+        ],
+    )
+    def test_one_small_bisection(self, tridiagonal_orders, family, n_points, order):
+        gs = ground_energy(bench_field_problem(family, -20.0, n_points))
+        pre = n_points // PRE_LEVEL_DIVISOR
+        assert tridiagonal_orders == [order] == [pre // 2 if order < pre else pre]
         assert gs.ladder.fallbacks == 0
-        assert gs.ladder.final_n == 2000 * 2 ** (gs.ladder.levels - 1)
+        assert gs.ladder.final_n == n_points * 2 ** (gs.ladder.levels - 1)
 
     @pytest.mark.parametrize("n_points, order", [(200, 64), (500, 64), (1024, 64), (1040, 65)])
     def test_small_ladders_bisect_a_small_pre_level(self, tridiagonal_orders, n_points, order):
@@ -390,6 +403,101 @@ class TestPreLevel:
         assert pre.bound_state == bisected.bound_state
         assert pre.ladder.levels == bisected.ladder.levels
         assert pre.ladder.fallbacks == bisected.ladder.fallbacks == 0
+
+
+# one_d problems whose field is even, so that every even level folds
+FOLD_PROBLEMS = {
+    "square_well_1d": EffectiveProblem(
+        coupling=1.0,
+        W=ExternalField(
+            family="square_well_1d", amplitude=-2.0, range=1.0, dimensionality="one_d"
+        ),
+        domain_radius=15.0,
+        n_points=2000,
+    ),
+    "gaussian_well": EffectiveProblem(
+        coupling=-0.5,
+        W=ExternalField(family="gaussian_well", amplitude=8.0, range=1.0, dimensionality="one_d"),
+        domain_radius=20.0,
+        n_points=2000,
+    ),
+}
+
+
+def full_line(monkeypatch):
+    """Solve every level on the full line, as before the fold."""
+    monkeypatch.setattr(schrodinger, "_folds", lambda W, n: False)
+
+
+class TestFold:
+    """Even one_d fields are solved on x > 0 with a mirror end at the centre."""
+
+    @pytest.mark.parametrize("n_points", [2000, 1999])
+    @pytest.mark.parametrize("family", sorted(FOLD_PROBLEMS))
+    def test_half_line_matches_full_line(self, monkeypatch, family, n_points):
+        prob = dataclasses.replace(FOLD_PROBLEMS[family], n_points=n_points)
+        assert schrodinger._folds(prob.W, 2 * n_points)
+        half = ground_energy(prob)
+        full_line(monkeypatch)
+        full = ground_energy(prob)
+        assert full.bound_state and half.bound_state
+        assert abs(half.e0 - full.e0) <= 1e-12 * abs(full.e0)
+        assert half.ladder.levels == full.ladder.levels
+        assert half.ladder.final_n == full.ladder.final_n
+        assert half.ladder.fallbacks == full.ladder.fallbacks == 0
+
+    @pytest.mark.parametrize(
+        "amplitude", [-0.518378844569545, -0.7584953323004885, -1.442202467817925, -5.94654306884217]
+    )
+    def test_mirror_end_keeps_every_level_certified(self, monkeypatch, amplitude):
+        # seed-0 field-scan square wells whose 2000-node level fell back to bisection
+        # when the mirror was the last row: dgtsv's last pivot rounded to exactly zero
+        prob = bench_field_problem("square_well_1d", amplitude)
+        half = ground_energy(prob)
+        full_line(monkeypatch)
+        full = ground_energy(prob)
+        assert half.ladder.fallbacks == full.ladder.fallbacks == 0
+        assert half.ladder.solves == full.ladder.solves
+        assert abs(half.e0 - full.e0) <= 1e-12 * abs(full.e0)
+
+    def test_folded_level_holds_half_the_nodes(self):
+        prob = FOLD_PROBLEMS["square_well_1d"]
+        assert len(_solve_at_resolution(prob, 400).vec) == 200
+        assert len(_solve_at_resolution(prob, 401).vec) == 401
+
+    def test_asymmetric_table_stays_on_the_full_line(self, monkeypatch):
+        W = ExternalField(
+            family="tabulated_1d",
+            dimensionality="one_d",
+            table=[(-4.0, 0.0), (-2.0, -3.0), (0.0, -1.0), (1.0, 0.0), (4.0, 0.0)],
+        )
+        prob = EffectiveProblem(coupling=1.0, W=W, domain_radius=15.0, n_points=400)
+        gs = ground_energy(prob)
+        n = gs.ladder.final_n
+        fine, coarse = (tight_eigenvalue(*level_matrix(prob, k))[0] for k in (n, n // 2))
+        reference = fine + (fine - coarse) / 3.0
+        assert gs.bound_state
+        assert abs(gs.e0 - reference) <= 1e-9 * abs(reference)
+        # mirroring the x > 0 half of this table is a different problem
+        monkeypatch.setattr(schrodinger, "_folds", lambda W, n: n % 2 == 0)
+        assert abs(ground_energy(prob).e0 - reference) > 1e-3
+
+
+class TestMemory:
+    def test_deep_radial_ladder_peak(self):
+        # the deepest seed-0 radial field of the field scan: its ladder runs to 32000 nodes
+        prob = bench_field_problem("gaussian_well", -58.942278158791396)
+        ground_energy(bench_field_problem("gaussian_well", -20.0))  # imports scipy.linalg
+        tracemalloc.start()
+        try:
+            gs = ground_energy(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gs.ladder.final_n == 32000
+        # the finest level's potential, vector and three work arrays (5 x 250 KiB),
+        # the coarse vector and small change: 1.35 MiB; 2.81 MiB with fresh arrays per use
+        assert peak <= 1.5 * 2**20
 
 
 class TestDc:
