@@ -8,6 +8,7 @@ T_c(h) = T_c (1 - D_c h^2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -139,12 +140,65 @@ def _potential_on_axis(prob: EffectiveProblem, x: np.ndarray, h: float) -> np.nd
 # and the same quantity pads the positive-definiteness certificate for the
 # rounding of the residual and of the LDL^T factorization.
 RESIDUAL_C = 16.0
-MAX_SOLVES = 6  # shifted tridiagonal solves per level before the eigh_tridiagonal fallback
+MAX_SOLVES = 6  # shifted tridiagonal solves per level before the bisection fallback
 # The first ladder level starts from a pre-level of
 # max(n_points // PRE_LEVEL_DIVISOR, PRE_LEVEL_MIN_NODES) nodes, the only solve
 # that runs bisection; n_points >= 100 keeps it below the first level.
 PRE_LEVEL_DIVISOR = 16
 PRE_LEVEL_MIN_NODES = 64
+
+
+@functools.cache
+def _lapack():
+    """scipy's compiled LAPACK module, loaded without running scipy.linalg's __init__.
+
+    Importing scipy.linalg costs about 0.27 s and 20 MB, nearly all of it
+    array-API machinery that pulls in numpy.testing and numpy.f2py; the
+    extension alone loads in a few ms.  The scipy package is imported first:
+    its start-up sets the DLL search path on Windows.  CPython keeps one
+    copy of an extension's objects, so a later ``import scipy.linalg``
+    exports these very routines.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    finder = importlib.machinery.FileFinder(
+        os.path.join(scipy.__path__[0], "linalg"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    )
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"{name} not found in scipy {scipy.__version__}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bisect_lowest(d: np.ndarray, e: np.ndarray, vector: bool = False):
+    """Lowest eigenvalue of the symmetric tridiagonal (d, e) by LAPACK bisection.
+
+    With ``vector`` it returns (eigenvalue, unit eigenvector) by inverse
+    iteration.  These are the calls
+    ``scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))``
+    makes, so the results are bit-identical to it.  d and e are only read.
+    """
+    lapack = _lapack()
+    # range 2 selects eigenvalues il..iu = 1..1 by index (vl, vu unused); tol 0 is LAPACK's
+    # default; vectors need block order "B"
+    order = "B" if vector else "E"
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, order)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstebz failed: info = {info}")
+    if not vector:
+        return float(w[0])
+    z, info = lapack.dstein(d, e, w[:m], iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstein failed: info = {info}")
+    return float(w[0]), z[:, 0]
 
 
 def _dirichlet_lowest(
@@ -171,17 +225,15 @@ def _dirichlet_lowest(
     eigenvalue within r of ev and the factorization puts none below
     ev - r - pad, so ev is the lowest one to within r + pad.  If a shifted
     solve or the certificate fails, LAPACK bisection and inverse iteration
-    solve the level instead.
+    solve the level instead (``_bisect_lowest``).
 
     Besides u_pot and the vector, the level holds three work arrays, which
     every use refills and LAPACK overwrites.  The guess vector is
     overwritten.  Returns (eigenvalue, unit eigenvector, residual r, whether
     it fell back, shifted solves made).
     """
-    # imported here: scipy.linalg costs ~0.3 s, and only dc/shift/verify get this far
-    from scipy.linalg import eigh_tridiagonal
-    from scipy.linalg.lapack import dgtsv, dpttrf
-
+    # loaded at the first ground state, not at import: only dc/shift/verify get this far
+    lapack = _lapack()
     inv_h2 = 1.0 / (h * h)
     n = len(u_pot)
     d, dl, du = np.empty(n), np.empty(n - 1), np.empty(n - 1)
@@ -224,9 +276,7 @@ def _dirichlet_lowest(
         return math.sqrt(res @ res)
 
     if guess is None:
-        shift = float(
-            eigh_tridiagonal(*shifted(0.0), select="i", select_range=(0, 0), eigvals_only=True)[0]
-        )
+        shift = _bisect_lowest(*shifted(0.0))
         v = np.ones_like(u_pot)
     else:
         shift, v = guess
@@ -234,7 +284,7 @@ def _dirichlet_lowest(
         shifted(shift)
         du.fill(-inv_h2)
         # the solve writes its result over v: the guess vector or the last iterate
-        *_, v, info = dgtsv(
+        *_, v, info = lapack.dgtsv(
             dl, d, du, v, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1
         )
         scale = math.sqrt(v @ v)
@@ -244,14 +294,12 @@ def _dirichlet_lowest(
         ev = rayleigh(v)
         r = residual(v, ev)
         if r <= pad:
-            if dpttrf(*shifted(ev - r - pad), overwrite_d=1, overwrite_e=1)[2] == 0:
+            if lapack.dpttrf(*shifted(ev - r - pad), overwrite_d=1, overwrite_e=1)[2] == 0:
                 return ev, v, r, False, solves
             break
         shift = ev
 
-    vals, vecs = eigh_tridiagonal(*shifted(0.0), select="i", select_range=(0, 0))
-    v = vecs[:, 0]
-    ev = float(vals[0])
+    ev, v = _bisect_lowest(*shifted(0.0), vector=True)
     return ev, v, residual(v, ev), True, solves
 
 

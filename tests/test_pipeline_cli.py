@@ -719,6 +719,27 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("verb", ["dc", "shift", "verify"])
+    def test_ground_state_verbs_load_only_the_compiled_lapack(self, tmp_path, verb):
+        # python -m tcshift.cli <verb>, then a later import of scipy.linalg in the same process
+        script = (
+            "import json, runpy, sys\n"
+            f"sys.argv = ['tcshift', {verb!r}, '--config', {str(CONFIGS / 'gaussian.json')!r},"
+            f" '--out', {str(tmp_path / 'out')!r}]\n"
+            "try:\n"
+            "    runpy.run_module('tcshift.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "linalg_loaded = 'scipy.linalg' in sys.modules\n"
+            "from tcshift import schrodinger\n"
+            "import scipy.linalg\n"
+            "same = scipy.linalg.lapack.dgtsv is schrodinger._lapack().dgtsv\n"
+            "print(json.dumps([code, linalg_loaded, same]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, True]
+
     def test_console_entry_point(self, tmp_path):
         cfg_path = write_cfg(tmp_path, CFG)
         proc = subprocess.run(

@@ -323,6 +323,55 @@ class TestLadder:
         assert abs(lo - 2.0 * base + hi) <= 1e-13 * abs(base)
 
 
+def bisection_matrix(family: str, n: int, mirror: bool = False):
+    """Diagonal and off-diagonal of a level's matrix; ``mirror`` folds it onto x > 0."""
+    prob = LADDER_PROBLEMS[family]
+    if mirror:
+        h, x = schrodinger._axis(prob, n)
+        u_pot = _potential_on_axis(prob, x, h)
+    else:
+        u_pot, h = level_matrix(prob, n)
+    d = 2.0 / (h * h) + u_pot
+    if mirror:
+        d[0] = 1.0 / (h * h) + u_pot[0]
+    return d, np.full(len(d) - 1, -1.0 / (h * h))
+
+
+class TestLapack:
+    """Only scipy's compiled LAPACK module is loaded, and bisection is eigh_tridiagonal's."""
+
+    def test_lapack_is_the_module_scipy_linalg_exports(self):
+        import scipy.linalg
+
+        lapack = schrodinger._lapack()
+        assert lapack.__name__ == "scipy.linalg._flapack"
+        for routine in ("dgtsv", "dpttrf", "dstebz", "dstein"):
+            assert getattr(lapack, routine) is getattr(scipy.linalg.lapack, routine)
+
+    @pytest.mark.parametrize(
+        "family, n, mirror",
+        [
+            pytest.param("gaussian_well", 64, False, id="gaussian_well-64"),
+            pytest.param("square_well_1d", 125, False, id="square_well_1d-125"),
+            pytest.param("constant", 1000, False, id="constant-1000"),
+            pytest.param("gaussian_well", 1000, False, id="gaussian_well-1000"),
+            pytest.param("square_well_1d", 1000, True, id="square_well_1d-1000-mirror"),
+            pytest.param("square_well_1d", 130, True, id="square_well_1d-130-mirror"),
+        ],
+    )
+    def test_bisection_is_bit_identical_to_eigh_tridiagonal(self, family, n, mirror):
+        d, e = bisection_matrix(family, n, mirror)
+        d0, e0 = d.copy(), e.copy()
+        lowest = {"select": "i", "select_range": (0, 0)}
+        vals = eigh_tridiagonal(d, e, eigvals_only=True, **lowest)
+        assert np.array_equal(vals, [schrodinger._bisect_lowest(d, e)])
+        vals, vecs = eigh_tridiagonal(d, e, **lowest)
+        ev, vec = schrodinger._bisect_lowest(d, e, vector=True)
+        assert np.array_equal(vals, [ev])
+        assert np.array_equal(vecs[:, 0], vec)
+        assert np.array_equal(d, d0) and np.array_equal(e, e0)
+
+
 # lambda1 / lambda0 of configs/gaussian.json, whose W has range 2
 BENCH_COUPLING = 0.10458689266989643
 
@@ -337,17 +386,15 @@ def bench_field_problem(family, amplitude, n_points=2000):
 
 @pytest.fixture
 def tridiagonal_orders(monkeypatch):
-    """Orders of the eigh_tridiagonal calls made while the fixture is active."""
-    import scipy.linalg
-
+    """Orders of the bisections (``_bisect_lowest`` calls) made while the fixture is active."""
     orders = []
-    real = scipy.linalg.eigh_tridiagonal
+    real = schrodinger._bisect_lowest
 
     def spy(d, e, *args, **kwargs):
         orders.append(len(d))
         return real(d, e, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+    monkeypatch.setattr(schrodinger, "_bisect_lowest", spy)
     return orders
 
 
@@ -403,6 +450,39 @@ class TestPreLevel:
         assert pre.bound_state == bisected.bound_state
         assert pre.ladder.levels == bisected.ladder.levels
         assert pre.ladder.fallbacks == bisected.ladder.fallbacks == 0
+
+
+class TestFallback:
+    """Levels that are never certified are solved by bisection and inverse iteration.
+
+    Bisection resolves a level only to about eps ||A||, so the problems are
+    fields as the field scan draws them, whose ladders stop at 16000-33000
+    nodes; a 400-node ladder run to 25600 nodes on a 15-wide box differs by
+    up to 8e-10 relative.
+    """
+
+    @pytest.mark.parametrize(
+        "family, amplitude, n_points",
+        [
+            pytest.param("gaussian_well", -20.0, 2000, id="gaussian_well"),
+            pytest.param("gaussian_well", -3.0, 2000, id="gaussian_well-unbound"),
+            pytest.param("square_well_1d", -20.0, 2000, id="square_well_1d"),
+            pytest.param("square_well_1d", -20.0, 2080, id="square_well_1d-folded-pre-level"),
+        ],
+    )
+    def test_every_level_falls_back_to_the_same_energy(
+        self, monkeypatch, family, amplitude, n_points
+    ):
+        prob = bench_field_problem(family, amplitude, n_points)
+        certified = ground_energy(prob)
+        # no residual is ever small enough: every level, pre-level included, falls back
+        monkeypatch.setattr(schrodinger, "RESIDUAL_C", 0.0)
+        bisected = ground_energy(prob)
+        assert certified.ladder.fallbacks == 0
+        assert bisected.ladder.fallbacks == bisected.ladder.levels + 1
+        assert bisected.ladder.levels == certified.ladder.levels
+        assert bisected.bound_state == certified.bound_state
+        assert abs(bisected.e0 - certified.e0) <= 1e-10 * abs(certified.e0)
 
 
 # one_d problems whose field is even, so that every even level folds
