@@ -12,6 +12,7 @@ bracket.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,6 +76,22 @@ def _measure_weights(rgrid: RadialGrid) -> np.ndarray:
     return rgrid.nodes * np.sqrt(4.0 * math.pi * rgrid.weights)
 
 
+def _standard_normal(rng: random.Random, shape: tuple[int, int]) -> np.ndarray:
+    """Standard normal draws by Box-Muller from ``rng``'s bytes, without numpy.random.
+
+    Each 64-bit word gives a uniform on (0, 1) from its top 53 bits; one pair
+    of uniforms gives two normals, cos and sin of the same angle.
+    """
+    count = shape[0] * shape[1]
+    half = (count + 1) // 2
+    words = np.frombuffer(rng.randbytes(16 * half), dtype="<u8") >> np.uint64(11)
+    u = (words + 0.5) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u[:half]))
+    angle = (2.0 * math.pi) * u[half:]
+    z = np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))
+    return z[:count].reshape(shape)
+
+
 def _compress(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Q with orthonormal columns, B = Q^T G and the residual ||G - Q B||_F.
 
@@ -84,12 +101,12 @@ def _compress(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     G - Q B in the same n_r x n_p work buffer.
     """
     n_r, n_p = G.shape
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     tol = RANGE_RTOL * np.linalg.norm(G)
     work = np.empty_like(G)
     k = RANGE_K0
     while k < min(n_r, n_p):
-        Q, _ = np.linalg.qr(G @ rng.standard_normal((n_p, k)))
+        Q, _ = np.linalg.qr(G @ _standard_normal(rng, (n_p, k)))
         B = Q.T @ G
         np.subtract(G, np.matmul(Q, B, out=work), out=work)
         residual = float(np.linalg.norm(work))

@@ -11,6 +11,7 @@ measured), its expected value and its description.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -225,8 +226,11 @@ def run_identity_checks(
     """
     pair, top = pair_top
     rgrid = solver.grids.rgrid
-    rng = np.random.default_rng(SEED)
+    rng = random.Random(SEED)
     m = {}  # check id -> measured value; the order below fixes the random draws
+
+    def uniforms(lo, hi, count):
+        return np.array([rng.uniform(lo, hi) for _ in range(count)])
 
     # --- closed-form kernel identities -----------------------------------
     zs = np.array([1e-8, 1e-4, 0.1, 1.0, 10.0, 50.0])
@@ -261,13 +265,13 @@ def run_identity_checks(
     m["hessian_identity"] = worst
 
     # --- scalar inequalities ------------------------------------------------
-    sample = rng.uniform(-20.0, 20.0, size=(50, 2))
-    betas_s = rng.uniform(0.05, 20.0, size=50)
+    sample = uniforms(-20.0, 20.0, 100).reshape(50, 2)
+    betas_s = uniforms(0.05, 20.0, 50)
     m["xi_bounded_by_chi_mean"] = max(
         xi(b, E, Ep) - 0.5 * (chi(b, E) + chi(b, Ep)) - 1e-13 * max(1.0, chi(b, E))
         for (E, Ep), b in zip(sample, betas_s)
     )
-    es = rng.uniform(-10.0, 10.0, size=20)
+    es = uniforms(-10.0, 10.0, 20)
     m["chi_monotone_in_beta"] = min(
         float(np.min(chi(2.0 * b, es) - chi(b, es))) for b in (0.2, 0.7, 1.5)
     )

@@ -152,8 +152,9 @@ class ExternalField:
 
     @property
     def reach(self) -> float:
+        """Extent of W's structure: its range, or a table's largest |abscissa|."""
         if self.table is not None:
-            return float(self.table[-1, 0])
+            return float(np.abs(self.table[:, 0]).max())
         return self.range
 
     def __call__(self, x):
@@ -181,6 +182,47 @@ class ExternalField:
         """
         ends = (math.inf, -math.inf) if self.dimensionality == "one_d" else (math.inf,)
         return min(coupling * float(self(end)) for end in ends)
+
+    def infimum(self, coupling: float = 1.0) -> float:
+        """Infimum of coupling * W over all of space; a table's lies at one of its nodes."""
+        if self.table is not None:
+            return float(np.min(coupling * self.table[:, 1]))
+        if self.family == "zero":
+            return 0.0
+        if self.family == "constant":
+            return coupling * self.amplitude
+        # gaussian and square wells: coupling * amplitude at the centre, 0 far out
+        return min(0.0, coupling * self.amplitude)
+
+    def bargmann_integral(self, coupling: float = 1.0) -> float:
+        """The integral of r (b - coupling * W(r))_+ over r > 0, exactly; radial_3d only.
+
+        b is ``boundary_value(coupling)``.  By Bargmann's bound (Proc. Natl.
+        Acad. Sci. USA 38, 961 (1952)) p^2 + coupling * W has no eigenvalue
+        below b on L2(R^3) when the integral is below 1.  A gaussian well
+        gives (-coupling * amplitude)_+ range^2 / 2; a table is integrated
+        segment by segment, W being linear between its nodes and constant
+        outside them.
+        """
+        if self.dimensionality != "radial_3d":
+            raise ValueError("the Bargmann integral is defined for radial_3d fields only")
+        if self.family == "gaussian_well":
+            return max(0.0, -coupling * self.amplitude) * self.range**2 / 2.0
+        if self.table is None:  # zero and constant: coupling * W is b everywhere
+            return 0.0
+        b = self.boundary_value(coupling)
+        x = np.concatenate(([0.0], self.table[self.table[:, 0] > 0.0, 0]))
+        f = b - coupling * self(x)
+        total = 0.0
+        for x0, x1, f0, f1 in zip(x[:-1], x[1:], f[:-1], f[1:]):
+            if f0 <= 0.0 and f1 <= 0.0:
+                continue
+            if f0 < 0.0 or f1 < 0.0:  # keep the part on the positive side of the zero
+                z = x0 + (x1 - x0) * f0 / (f0 - f1)
+                x0, f0, x1, f1 = (x0, f0, z, 0.0) if f0 > 0.0 else (z, 0.0, x1, f1)
+            # r times a linear function, integrated exactly over [x0, x1]
+            total += (x1 - x0) * (f0 * (2.0 * x0 + x1) + f1 * (x0 + 2.0 * x1)) / 6.0
+        return float(total)
 
 
 @dataclass(frozen=True)

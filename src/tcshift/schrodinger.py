@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainTooSmall
+from .errors import ConfigError, ConvergenceError, DomainTooSmall
 from .gl import GlCoefficients
 from .model import ExternalField
 
@@ -25,6 +25,7 @@ __all__ = [
     "LadderStats",
     "TcShiftReport",
     "ground_energy",
+    "ladder_ground_energy",
     "compute_dc",
     "tc_of_h",
 ]
@@ -41,11 +42,11 @@ class EffectiveProblem:
 
     def __post_init__(self):
         if not math.isfinite(self.coupling):
-            raise ValueError("coupling must be finite")
+            raise ConfigError("coupling must be finite")
         if self.n_points < 100:
-            raise ValueError("n_points must be >= 100")
-        if self.domain_radius <= 0:
-            raise ValueError("domain_radius must be positive")
+            raise ConfigError("n_points must be >= 100")
+        if not self.domain_radius > 0:
+            raise ConfigError(f"domain_radius must be positive, not {self.domain_radius!r}")
 
     @classmethod
     def from_gl(cls, gl: GlCoefficients, W: ExternalField, domain_radius, n_points: int):
@@ -54,6 +55,12 @@ class EffectiveProblem:
         if domain_radius is None:
             domain_radius = default_domain_radius(coupling, W)
         return cls(coupling=coupling, W=W, domain_radius=domain_radius, n_points=n_points)
+
+    @property
+    def essential_bottom(self) -> float:
+        """b, the lower limit of coupling * W at infinity: the bottom of the essential spectrum."""
+        # + 0.0 turns the -0.0 of a negative coupling times a vanishing field into 0.0
+        return self.W.boundary_value(self.coupling) + 0.0
 
 
 def default_domain_radius(coupling: float, W: ExternalField) -> float:
@@ -64,7 +71,13 @@ def default_domain_radius(coupling: float, W: ExternalField) -> float:
 
 @dataclass(frozen=True)
 class LadderStats:
-    """How ``ground_energy`` reached its answer; diagnostics for manifest.json only."""
+    """How ``ground_energy`` reached its answer; diagnostics for manifest.json only.
+
+    ``certificate`` is ``ladder`` when the finite-difference ladder ran, or
+    the rule that proved no bound state exists (``above_bottom`` or
+    ``bargmann``, see ``ground_energy``); a certified answer solves nothing,
+    so its counts and ``final_n`` are 0.
+    """
 
     levels: int  # resolutions solved
     final_n: int  # interior nodes of the last one
@@ -72,6 +85,8 @@ class LadderStats:
     max_residual: float  # largest accepted ||A v - ev v|| over the levels
     fallbacks: int  # levels, pre-level included, solved by bisection when not certified
     solves: int  # shifted tridiagonal solves, pre-level included
+    certificate: str = "ladder"
+    bargmann_integral: float | None = None  # the bound the bargmann certificate met
 
 
 @dataclass
@@ -333,6 +348,50 @@ def _solve_at_resolution(prob: EffectiveProblem, n: int, coarse: _Level | None =
 
 
 def ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGroundState:
+    """inf spec(p^2 + coupling * W): exactly b when no bound state can exist, else the ladder.
+
+    b is the bottom of the essential spectrum (``prob.essential_bottom``), so
+    inf spec <= b always, and inf spec = b exactly when p^2 + coupling * W
+    has no eigenvalue below b.  Two rules prove that without a solve:
+
+    * ``above_bottom``: coupling * W >= b everywhere, so the operator is at
+      least b (every family and dimensionality; a table from its node values);
+    * ``bargmann``: in radial_3d, the integral of r (b - coupling * W)_+ over
+      r > 0 is below 1 (``ExternalField.bargmann_integral``), which leaves
+      no s-wave bound state (Bargmann 1952) and so none at all.
+
+    Otherwise ``ladder_ground_energy`` estimates it.
+    """
+    b = prob.essential_bottom
+    W, coupling = prob.W, prob.coupling
+    certificate, integral = None, None
+    if W.infimum(coupling) >= b:
+        certificate = "above_bottom"
+    elif W.dimensionality == "radial_3d":
+        integral = W.bargmann_integral(coupling)
+        if integral < 1.0:
+            certificate = "bargmann"
+    if certificate is None:
+        return ladder_ground_energy(prob, rel_tol)
+    return EffectiveGroundState(
+        e0=b,
+        bound_state=False,
+        refinement_delta=0.0,
+        essential_bottom=b,
+        ladder=LadderStats(
+            levels=0,
+            final_n=0,
+            domain_radius=float(prob.domain_radius),
+            max_residual=0.0,
+            fallbacks=0,
+            solves=0,
+            certificate=certificate,
+            bargmann_integral=integral,
+        ),
+    )
+
+
+def ladder_ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGroundState:
     """Estimate inf spec by Dirichlet finite differences plus the continuum bottom.
 
     The reported energy is min(lowest box eigenvalue, b) where b, the bottom
@@ -349,9 +408,7 @@ def ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGro
     eigenvalue.  A bound state whose mass reaches the box edge raises
     DomainTooSmall.
     """
-    # + 0.0 turns the -0.0 of a negative coupling times a vanishing field into 0.0
-    b = prob.W.boundary_value(prob.coupling) + 0.0
-
+    b = prob.essential_bottom
     n = prob.n_points
     pre = _solve_at_resolution(prob, max(n // PRE_LEVEL_DIVISOR, PRE_LEVEL_MIN_NODES))
     coarse = _solve_at_resolution(prob, n, pre)

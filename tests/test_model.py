@@ -118,6 +118,78 @@ class TestExternalField:
         assert W(2.0) == 5.0
         assert W(-1.0) == -0.5
 
+    @pytest.mark.parametrize(
+        "table, reach",
+        [
+            ([[-4.3, 3.1], [-2.9, 1.35], [-1.7, 0.0], [-0.27, -3.09]], 4.3),
+            ([[-5.0, 0.0], [-4.5, -3.0], [-3.5, -3.0], [-3.0, 0.0], [0.1, 0.0]], 5.0),
+            ([[-1.0, 0.0], [3.0, 1.0]], 3.0),
+        ],
+    )
+    def test_table_reach_is_its_largest_abscissa_magnitude(self, table, reach):
+        # the last abscissa made a left-side table's default box negative or too small
+        W = ExternalField(family="tabulated_1d", dimensionality="one_d", table=table)
+        assert W.reach == reach
+
+    @pytest.mark.parametrize(
+        "kwargs, coupling",
+        [
+            ({"family": "zero"}, -2.0),
+            ({"family": "constant", "amplitude": 0.7}, -2.0),
+            ({"family": "gaussian_well", "amplitude": -3.0, "range": 1.5}, 0.4),
+            ({"family": "gaussian_well", "amplitude": -3.0, "range": 1.5}, -0.4),
+            ({"family": "square_well_1d", "amplitude": 2.0, "dimensionality": "one_d"}, -0.3),
+            ({"family": "square_well_1d", "amplitude": 2.0, "dimensionality": "one_d"}, 0.3),
+            (
+                {
+                    "family": "tabulated_1d",
+                    "dimensionality": "one_d",
+                    "table": [[-3.0, 1.0], [-1.0, -2.0], [0.5, 4.0], [2.0, 0.5]],
+                },
+                -1.5,
+            ),
+        ],
+    )
+    def test_infimum_bounds_a_fine_sample(self, kwargs, coupling):
+        W = ExternalField(**kwargs)
+        x = np.linspace(-40.0, 40.0, 160001)
+        sample = float(np.min(coupling * W(np.abs(x) if W.dimensionality == "radial_3d" else x)))
+        assert W.infimum(coupling) <= sample
+        assert W.infimum(coupling) == pytest.approx(min(sample, W.boundary_value(coupling)), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "kwargs, coupling",
+        [
+            ({"family": "gaussian_well", "amplitude": -3.0, "range": 1.5}, 0.4),
+            ({"family": "gaussian_well", "amplitude": 3.0, "range": 1.5}, 0.4),
+            ({"family": "constant", "amplitude": -3.0}, 0.4),
+            # a table with a node below r = 0, a sign change in a segment and a
+            # flat start before its first positive node
+            (
+                {"family": "tabulated_radial", "table": [[-1.0, 0.5], [1.0, -2.0], [2.5, 1.0], [4.0, 0.25]]},
+                1.3,
+            ),
+            ({"family": "tabulated_radial", "table": [[0.5, -1.0], [1.5, -3.0], [3.0, 0.0]]}, -0.7),
+        ],
+    )
+    def test_bargmann_integral_matches_quadrature(self, kwargs, coupling):
+        W = ExternalField(**kwargs)
+        b = W.boundary_value(coupling)
+        # trapezoid on a grid through every node: exact up to O(h^2) at the zero crossings
+        r = np.unique(np.concatenate([np.linspace(0.0, 40.0, 400001), [0.5, 1.0, 1.5, 2.5, 3.0, 4.0]]))
+        quadrature = np.trapezoid(r * np.maximum(b - coupling * W(r), 0.0), r)
+        assert W.bargmann_integral(coupling) == pytest.approx(quadrature, rel=1e-8, abs=1e-12)
+
+    def test_bargmann_integral_of_a_gaussian_well(self):
+        W = ExternalField(family="gaussian_well", amplitude=-6.0, range=2.0)
+        assert W.bargmann_integral(0.25) == 0.25 * 6.0 * 2.0**2 / 2.0
+        assert W.bargmann_integral(-0.25) == 0.0
+
+    def test_bargmann_integral_is_radial_only(self):
+        W = ExternalField(family="gaussian_well", amplitude=-1.0, dimensionality="one_d")
+        with pytest.raises(ValueError, match="radial_3d"):
+            W.bargmann_integral()
+
 
 @pytest.mark.parametrize(
     "cls, kwargs",

@@ -211,9 +211,34 @@ class TestEmit:
         assert ladder["solves"] >= ladder["levels"]
         assert ladder["final_n"] == CFG["numerics"]["n_points"] * 2 ** (ladder["levels"] - 1)
         assert 0.0 < ladder["max_residual"] < 1e-8
+        assert ladder["certificate"] == "ladder" and ladder["bargmann_integral"] is None
         assert loaded["tc"] == result["tc"]
         assert loaded["gl"] == result["gl"]
         assert loaded["shift"] == result["shift"]
+
+    @pytest.mark.parametrize(
+        "W, certificate",
+        [
+            ({"family": "constant", "amplitude": -3.0}, "above_bottom"),
+            ({"family": "gaussian_well", "amplitude": 3.0, "range": 2.0}, "above_bottom"),
+            ({"family": "gaussian_well", "amplitude": -2.0, "range": 2.0}, "bargmann"),
+        ],
+    )
+    def test_manifest_names_the_certificate(self, pipe, tmp_path, W, certificate):
+        field = pipe.derive(W=ExternalField(**W))
+        emit(*field.bundle("shift"), tmp_path, "json")
+        loaded = json.loads((tmp_path / "result.json").read_text())
+        ladder = json.loads((tmp_path / "manifest.json").read_text())["ground_state_ladder"]
+        gs = loaded["ground_state"]
+        assert gs["e0"] == gs["essential_bottom"] and gs["refinement_delta"] == 0.0
+        assert not gs["bound_state"]
+        assert ladder["certificate"] == certificate
+        assert ladder["levels"] == ladder["solves"] == ladder["final_n"] == 0
+        if certificate == "bargmann":
+            coupling = pipe.gl().lambda1 / pipe.gl().lambda0
+            assert ladder["bargmann_integral"] == coupling * 2.0 * 2.0**2 / 2.0 < 1.0
+        else:
+            assert ladder["bargmann_integral"] is None
 
     def test_float_round_trip_via_json(self, bundle, result, tmp_path):
         emit(*bundle, tmp_path, "json")
@@ -709,6 +734,33 @@ class TestCli:
         assert record["error"] == "ConfigError" and "threads" in record["message"]
         assert not (out / "result.json").exists()
 
+    @pytest.mark.parametrize(
+        "table, e0, radius",
+        [
+            # every abscissa negative: the last one made the default box negative, and
+            # EffectiveProblem raised a bare ValueError (exit 1, no error.json)
+            ([[-4.3, 3.1], [-2.9, 1.35], [-1.7, 0.0], [-0.27, -3.09]], None, 86.0),
+            # a left-side well: the last abscissa 0.1 made a box of 2, outside the
+            # well, and e0 read 0.0; its mirror image gets the same e0 at R = 100
+            ([[-5, 0], [-4.5, -3], [-3.5, -3], [-3, 0], [0.1, 0]], -0.0446772, 100.0),
+        ],
+    )
+    def test_left_side_table_gets_a_box_around_it(self, tmp_path, table, e0, radius):
+        cfg = json.loads((CONFIGS / "gaussian.json").read_text())
+        cfg["W"] = {"family": "tabulated_1d", "dimensionality": "one_d", "table": table}
+        out = tmp_path / "out"
+        assert self.run_cli("dc", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)) == 0
+        gs = json.loads((out / "result.json").read_text())["ground_state"]
+        ladder = json.loads((out / "manifest.json").read_text())["ground_state_ladder"]
+        assert ladder["domain_radius"] == radius
+        if e0 is None:
+            # coupling * W never dips below its right end, so the answer is that end
+            assert ladder["certificate"] == "above_bottom"
+            assert gs["e0"] == gs["essential_bottom"] < 0.0
+        else:
+            assert gs["bound_state"]
+            assert gs["e0"] == pytest.approx(e0, abs=1e-7)
+
     def test_import_leaves_scipy_unloaded(self):
         proc = subprocess.run(
             [sys.executable, "-c",
@@ -739,6 +791,21 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, True]
+
+    def test_no_verb_loads_numpy_random(self, tmp_path):
+        # the range finder and the battery draw from the standard library's random
+        cfg_path = write_cfg(tmp_path, CFG)
+        script = (
+            "import json, sys\n"
+            "from tcshift.cli import main\n"
+            f"common = ['--config', {str(cfg_path)!r}, '--out', {str(tmp_path / 'out')!r}]\n"
+            f"codes = [main([verb, *common]) for verb in {list(VERBS)!r}]\n"
+            "codes.append(main(['sweep', *common, '--sweep-axis', 'mu', '--sweep-values', '1.0,1.2']))\n"
+            "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * (len(VERBS) + 1), False]
 
     def test_console_entry_point(self, tmp_path):
         cfg_path = write_cfg(tmp_path, CFG)

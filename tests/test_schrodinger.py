@@ -11,10 +11,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
-from tcshift.errors import DomainTooSmall
+from tcshift.errors import ConfigError, DomainTooSmall
 from tcshift.gl import GlCoefficients
 from tcshift.model import ExternalField
 from tcshift import schrodinger
@@ -28,6 +30,7 @@ from tcshift.schrodinger import (
     compute_dc,
     default_domain_radius,
     ground_energy,
+    ladder_ground_energy,
     tc_of_h,
 )
 
@@ -413,7 +416,8 @@ class TestPreLevel:
         ],
     )
     def test_one_small_bisection(self, tridiagonal_orders, family, n_points, order):
-        gs = ground_energy(bench_field_problem(family, -20.0, n_points))
+        # the ladder itself: ground_energy answers the constant field without it
+        gs = ladder_ground_energy(bench_field_problem(family, -20.0, n_points))
         pre = n_points // PRE_LEVEL_DIVISOR
         assert tridiagonal_orders == [order] == [pre // 2 if order < pre else pre]
         assert gs.ladder.fallbacks == 0
@@ -473,11 +477,12 @@ class TestFallback:
     def test_every_level_falls_back_to_the_same_energy(
         self, monkeypatch, family, amplitude, n_points
     ):
+        # the ladder itself: ground_energy answers the unbound well by Bargmann's bound
         prob = bench_field_problem(family, amplitude, n_points)
-        certified = ground_energy(prob)
+        certified = ladder_ground_energy(prob)
         # no residual is ever small enough: every level, pre-level included, falls back
         monkeypatch.setattr(schrodinger, "RESIDUAL_C", 0.0)
-        bisected = ground_energy(prob)
+        bisected = ladder_ground_energy(prob)
         assert certified.ladder.fallbacks == 0
         assert bisected.ladder.fallbacks == bisected.ladder.levels + 1
         assert bisected.ladder.levels == certified.ladder.levels
@@ -561,6 +566,146 @@ class TestFold:
         # mirroring the x > 0 half of this table is a different problem
         monkeypatch.setattr(schrodinger, "_folds", lambda W, n: n % 2 == 0)
         assert abs(ground_energy(prob).e0 - reference) > 1e-3
+
+
+def radial_table(table):
+    return ExternalField(family="tabulated_radial", table=table)
+
+
+# fields that cannot bind, each with the rule that proves it
+CERTIFIED_PROBLEMS = {
+    "constant": (
+        EffectiveProblem(
+            coupling=BENCH_COUPLING,
+            W=ExternalField(family="constant", amplitude=-20.0),
+            domain_radius=40.0,
+            n_points=2000,
+        ),
+        "above_bottom",
+    ),
+    "gaussian_well-repulsive-radial_3d": (
+        bench_field_problem("gaussian_well", 20.0), "above_bottom"
+    ),
+    "gaussian_well-repulsive-one_d": (
+        EffectiveProblem(
+            coupling=BENCH_COUPLING,
+            W=ExternalField(family="gaussian_well", amplitude=20.0, range=2.0, dimensionality="one_d"),
+            domain_radius=40.0,
+            n_points=2000,
+        ),
+        "above_bottom",
+    ),
+    "square_well_1d-repulsive": (bench_field_problem("square_well_1d", 20.0), "above_bottom"),
+    # negative coupling turns a well into a bump
+    "gaussian_well-negative-coupling": (
+        EffectiveProblem(
+            coupling=-0.5,
+            W=ExternalField(family="gaussian_well", amplitude=-8.0, range=1.0),
+            domain_radius=20.0,
+            n_points=400,
+        ),
+        "above_bottom",
+    ),
+    # g |A| R^2 / 2 = 0.63
+    "gaussian_well-bargmann": (bench_field_problem("gaussian_well", -3.0), "bargmann"),
+    "tabulated_radial-above_bottom": (
+        EffectiveProblem(
+            coupling=1.0, W=radial_table([[0.0, 2.0], [1.0, 1.0], [3.0, 0.5]]),
+            domain_radius=30.0, n_points=400,
+        ),
+        "above_bottom",
+    ),
+    "tabulated_1d-above_bottom": (
+        EffectiveProblem(
+            coupling=-1.0,
+            W=ExternalField(
+                family="tabulated_1d", dimensionality="one_d", table=[(-5.0, 0.0), (5.0, 1.0)]
+            ),
+            domain_radius=20.0,
+            n_points=400,
+        ),
+        "above_bottom",
+    ),
+    "tabulated_radial-bargmann": (
+        EffectiveProblem(
+            coupling=0.3, W=radial_table([[0.5, -1.0], [1.5, -0.5], [3.0, 0.0]]),
+            domain_radius=30.0, n_points=400,
+        ),
+        "bargmann",
+    ),
+}
+
+
+def without_solves(monkeypatch):
+    """Make any level solve fail the test."""
+
+    def solve(*args):
+        raise AssertionError("a certified field reached the ladder")
+
+    monkeypatch.setattr(schrodinger, "_solve_at_resolution", solve)
+
+
+def assert_same_answer(gs, ladder):
+    """e0 bit for bit, the sign of a zero included, and the same verdict."""
+    assert gs.e0.hex() == ladder.e0.hex()
+    assert gs.essential_bottom.hex() == ladder.essential_bottom.hex()
+    assert gs.bound_state == ladder.bound_state is False
+
+
+class TestNoBindingCertificate:
+    """Fields that cannot bind get e0 = b exactly, without the ladder."""
+
+    @pytest.mark.parametrize("name", sorted(CERTIFIED_PROBLEMS))
+    def test_certified_field_gets_the_ladders_answer_without_a_solve(self, monkeypatch, name):
+        prob, certificate = CERTIFIED_PROBLEMS[name]
+        ladder = ladder_ground_energy(prob)
+        assert ladder.ladder.certificate == "ladder" and ladder.ladder.solves > 0
+        without_solves(monkeypatch)
+        gs = ground_energy(prob)
+        assert_same_answer(gs, ladder)
+        assert gs.refinement_delta == 0.0
+        stats = gs.ladder
+        assert stats.certificate == certificate
+        assert stats.levels == stats.solves == stats.final_n == stats.fallbacks == 0
+        assert stats.domain_radius == prob.domain_radius
+        if certificate == "bargmann":
+            assert stats.bargmann_integral == prob.W.bargmann_integral(prob.coupling) < 1.0
+        else:
+            assert stats.bargmann_integral is None
+
+    @pytest.mark.parametrize("excess, certificate", [(1e-9, "ladder"), (-1e-9, "bargmann")])
+    def test_bargmann_threshold(self, excess, certificate):
+        # amplitude with g |A| R^2 / 2 = 1 + excess
+        prob = bench_field_problem("gaussian_well", -(1.0 + excess) * 2.0 / (BENCH_COUPLING * 4.0))
+        integral = prob.W.bargmann_integral(prob.coupling)
+        assert integral == pytest.approx(1.0 + excess, rel=1e-15)
+        gs = ground_energy(prob)
+        assert gs.ladder.certificate == certificate
+        assert (gs.ladder.levels > 0) == (certificate == "ladder")
+        assert gs.e0 == 0.0 and not gs.bound_state
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        fraction=st.floats(-3.0, 0.999),
+        coupling=st.floats(0.05, 2.0),
+        width=st.floats(0.3, 3.0),
+    )
+    def test_certified_amplitudes_match_the_ladder(self, fraction, coupling, width):
+        # amplitude with Bargmann integral `fraction`; a negative fraction is a bump
+        amplitude = -fraction * 2.0 / (coupling * width * width)
+        W = ExternalField(family="gaussian_well", amplitude=amplitude, range=width)
+        R = default_domain_radius(coupling, W)
+        prob = EffectiveProblem(coupling=coupling, W=W, domain_radius=R, n_points=400)
+        gs = ground_energy(prob)
+        assert gs.ladder.certificate == ("bargmann" if amplitude < 0.0 else "above_bottom")
+        assert gs.ladder.solves == 0
+        assert_same_answer(gs, ladder_ground_energy(prob))
+
+    @pytest.mark.parametrize("radius", [-2.0, 0.0, math.nan])
+    def test_bad_box_is_a_config_error(self, radius):
+        W = ExternalField(family="zero")
+        with pytest.raises(ConfigError, match="domain_radius"):
+            EffectiveProblem(coupling=1.0, W=W, domain_radius=radius, n_points=400)
 
 
 class TestMemory:
