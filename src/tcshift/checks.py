@@ -3,9 +3,12 @@
 Every closed-form identity, inequality, and two-route consistency relation
 the pipeline relies on becomes one named CheckResult.  Checks never consume
 the quantity they validate through the code path that produced it when a
-second route exists.  ``CHECKS`` declares the battery, one entry per check:
-its category, its test (a tolerance on |measured - expected|, or a bound on
-measured), its expected value and its description.
+second route exists.  ``norm_half_resolution`` is not a second route: it
+reruns the production code path on grids of half the nodes, which shows that
+the profile normalization N is resolved.  ``CHECKS`` declares the battery,
+one entry per check: its category, its test (a tolerance on
+|measured - expected|, or a bound on measured), its expected value and its
+description.
 """
 
 from __future__ import annotations
@@ -13,17 +16,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .birman_schwinger import BsSolver, CriticalTemperature, PairState, SpectralTop
-from .errors import MinorantViolation
+from .errors import MinorantViolation, ToolError
 from .gl import (
     GlCoefficients,
     TProfile,
     a_functionals,
     compute_lambdas,
-    normalization_position_route,
     r_of_p,
     small_p_overlap_coefficient,
     tau_hat_from_t,
@@ -114,8 +117,8 @@ CHECKS = {
     "spectral_gap_positive": (
         "identity", ">", 0.0, "gap below the leading eigenvalue at the critical temperature"
     ),
-    "norm_two_route": (
-        "oracle", 1e-8, 0.0, "profile normalization: momentum quadrature vs position-space route"
+    "norm_half_resolution": (
+        "oracle", 1e-8, 0.0, "profile normalization resolved: re-solved at half the grid nodes"
     ),
     "a0_two_route": (
         "oracle", 1e-8, 0.0, "quadratic form of the multiplier: momentum vs position space"
@@ -154,7 +157,7 @@ CHECKS = {
         "oracle",
         ">",
         0.0,
-        "overlap minorant holds at 200 sampled momenta (c={c:.4g}, E0={e0:.4g})",
+        "overlap minorant holds between the 200 momenta that fixed it (c={c:.4g}, E0={e0:.4g})",
     ),
 }
 
@@ -218,11 +221,14 @@ def run_identity_checks(
     pair_top: tuple[PairState, SpectralTop],
     t: TProfile,
     gl: GlCoefficients,
+    t_half: Callable[[], TProfile],
     tolerance_scale: float = 1.0,
 ) -> list[CheckResult]:
     """The full battery, in ``CHECKS`` order; failures recorded, never thrown.
 
-    The arguments are the pipeline's stage outputs; ``solver.grids`` is their grid pair.
+    The arguments up to ``gl`` are the pipeline's stage outputs; ``solver.grids``
+    is their grid pair.  ``t_half`` re-solves the profile at half resolution; a
+    ToolError it raises fails ``norm_half_resolution`` with measured inf.
     """
     pair, top = pair_top
     rgrid = solver.grids.rgrid
@@ -300,8 +306,11 @@ def run_identity_checks(
     m["lambda0_positive"] = gl.lambda0
     m["lambda2_positive"] = gl.lambda2
     m["spectral_gap_positive"] = top.gap
-    n_pos = normalization_position_route(pair, tc, model, numerics)
-    m["norm_two_route"] = abs(n_pos - t.normalization_N) / t.normalization_N
+    try:
+        n_half = t_half().normalization_N
+    except ToolError:
+        n_half = math.inf
+    m["norm_half_resolution"] = abs(n_half - t.normalization_N) / t.normalization_N
 
     # kernel on an independent momentum quadrature, so the two routes do not
     # share their discretization and the comparison has real content
@@ -356,10 +365,13 @@ def run_identity_checks(
     m["overlap_small_p"] = abs((1.0 - r_of_p(pair, p_small)) / p_small**2 - coeff) / coeff
     m["overlap_large_p"] = abs((1.0 - r_of_p(pair, 50.0 / model.V.reach)) - 0.5)
 
+    # certified at the geometric midpoints of the momenta that fixed c, where
+    # the margin is not zero by construction
     c_min, e0_min = rbound_minorant(pair)
-    p_scan = np.logspace(-3, 2, 200)
-    margin = np.min(1.0 - r_of_p(pair, p_scan) - c_min * p_scan**2 / (e0_min + p_scan**2))
-    m["minorant_certificate"] = min(c_min, float(margin) + 1e-15)
+    p_fit = np.logspace(-3, 2, 200)
+    p_mid = np.sqrt(p_fit[1:] * p_fit[:-1])
+    margin = np.min(1.0 - r_of_p(pair, p_mid) - c_min * p_mid**2 / (e0_min + p_mid**2))
+    m["minorant_certificate"] = min(c_min, float(margin))
 
     out = []
     for cid, (category, test, expected, description) in CHECKS.items():

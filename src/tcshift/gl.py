@@ -16,15 +16,7 @@ import numpy as np
 
 from .birman_schwinger import CriticalTemperature, PairState
 from .errors import PositivityViolation, ZeroNormError
-from .grids import (
-    GridPair,
-    RadialFunction,
-    RadialGrid,
-    build_momentum_grid,
-    build_radial_grid,
-    ft3_radial,
-    spherical_j0,
-)
+from .grids import GridPair, RadialFunction, RadialGrid, ft3_radial, spherical_j0
 from .kernels import chi, g0, g1, g2
 
 __all__ = [
@@ -35,7 +27,6 @@ __all__ = [
     "compute_lambdas",
     "a_functionals",
     "tau_hat_from_t",
-    "normalization_position_route",
     "r_of_p",
     "small_p_overlap_coefficient",
     "TAU_HAT_FACTOR",
@@ -43,10 +34,6 @@ __all__ = [
 
 # trial-profile normalization: tau_hat = (1/2) (2 pi)^{-3/2} t
 TAU_HAT_FACTOR = 0.5 * (2.0 * math.pi) ** -1.5
-
-# radii per block of normalization_position_route's transform: 256 rows of
-# its 4 n_p-node j0 table are 3.3 MB at the default n_p = 400
-ROUTE_ROW_BLOCK = 256
 
 
 @dataclass
@@ -160,36 +147,6 @@ def a_functionals(tau_hat: RadialFunction, T: float, mu: float) -> AFunctionals:
 def tau_hat_from_t(t: TProfile) -> RadialFunction:
     """The canonical trial profile tau_hat = (1/2)(2 pi)^{-3/2} t."""
     return RadialFunction(grid=t.pgrid, values=TAU_HAT_FACTOR * t.values)
-
-
-def normalization_position_route(pair: PairState, tc: CriticalTemperature, model, numerics) -> float:
-    """N recomputed by transforming chi * w_hat back to position space.
-
-    The chi-multiplied state decays only on the thermal coherence length
-    2 sqrt(mu) / (pi T_c), far beyond the interaction range, so this route
-    builds its own verification domain: the radial grid extends 12 coherence
-    lengths past the production one and the momentum grid is refined 4x to
-    resolve j0(p r) at those radii.  Used as an independent cross-check of
-    :func:`compute_t`'s momentum-space normalization.
-    """
-    xi_len = 2.0 * math.sqrt(max(model.mu, 0.04)) * tc.beta_c / math.pi
-    r_base = numerics.resolved_r_max(model)
-    r_big = r_base + 12.0 * xi_len
-    n_r = min(6000, int(numerics.n_r * r_big / r_base))
-    pg = build_momentum_grid(numerics.resolved_p_max(model), 4 * numerics.n_p, mu=model.mu)
-    w_hat = ft3_radial(pair.v_half_phi, GridPair(pair.v_half_phi.grid, pg))
-    c = chi(tc.beta_c, pg.nodes**2 - model.mu)
-    # ||ft3_radial(c w_hat)||^2 on the big grid, ROUTE_ROW_BLOCK radii at a time,
-    # so the big grid's j0 table is never built whole
-    f = math.sqrt(2.0 / math.pi) * pg.weights * pg.nodes**2 * c * w_hat.values
-    big = build_radial_grid(r_big, n_r)
-    norm_sq = 0.0
-    for start in range(0, big.nodes.size, ROUTE_ROW_BLOCK):
-        r = big.nodes[start : start + ROUTE_ROW_BLOCK]
-        w = big.weights[start : start + ROUTE_ROW_BLOCK]
-        v = spherical_j0(np.outer(r, pg.nodes)) @ f
-        norm_sq += float(np.sum(w * r * r * (v * v)))
-    return math.sqrt(4.0 * math.pi * norm_sq)
 
 
 def r_of_p(pair: PairState, p) -> np.ndarray:

@@ -108,10 +108,15 @@ STAGES = {
         ("h_values",), ("gl", "dc"),
         lambda model, numerics, gl, dc: tc_of_h(gl, dc, model.h_values),
     ),
+    # the battery's half-resolution re-solve reads W only through the validation
+    # that ``tc`` already requires of this pipeline
     "checks": (
         ("V", "mu"), ("solver", "tc", "pair_top", "t_profile", "gl"),
         lambda model, numerics, solver, tc, pair_top, t, gl: run_identity_checks(
-            model, numerics, solver, tc, pair_top, t, gl
+            model, numerics, solver, tc, pair_top, t, gl,
+            lambda: Pipeline(
+                model, dataclasses.replace(numerics, n_r=numerics.n_r // 2, n_p=numerics.n_p // 2)
+            ).t_profile(),
         ),
     ),
 }

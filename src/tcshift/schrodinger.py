@@ -64,8 +64,12 @@ class EffectiveProblem:
 
 
 def default_domain_radius(coupling: float, W: ExternalField) -> float:
-    """20 well ranges, stretched for shallow wells whose bound state is long-tailed."""
-    depth = abs(coupling * W.amplitude)
+    """20 well ranges, stretched for shallow wells whose bound state is long-tailed.
+
+    The depth is that of coupling * W below its value at infinity, which a
+    table takes from its node values.
+    """
+    depth = W.boundary_value(coupling) - W.infimum(coupling)
     return min(1e4, 20.0 * W.reach / min(1.0, math.sqrt(depth) if depth > 0 else 1.0))
 
 

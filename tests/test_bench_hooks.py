@@ -21,6 +21,11 @@ def tracer():
     return module
 
 
+# hooks whose function was deleted on purpose; the tracer lists each under
+# missing_hooks and reports its metric as 0 until the benchmark drops the hook
+DELETED = ["tcshift.gl.normalization_position_route"]
+
+
 def test_every_span_resolves(tracer):
     missing = []
     for modname, path, _layer, _name in tracer.SPANS:
@@ -31,7 +36,7 @@ def test_every_span_resolves(tracer):
         # the tracer wraps the attribute where it is defined, not an inherited one
         if owner is None or not callable(owner.__dict__.get(attr)):
             missing.append(f"{modname}.{path}")
-    assert missing == []
+    assert missing == DELETED
 
 
 def test_every_eigensolver_resolves(tracer):

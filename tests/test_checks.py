@@ -4,12 +4,17 @@ exact identities survive tolerance tightening that kills quadrature-limited
 ones."""
 
 import dataclasses
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tcshift.checks import CHECKS, rbound_minorant, run_identity_checks
-from tcshift.gl import compute_lambdas, compute_t
+from tcshift.errors import NoBracket
+from tcshift.gl import compute_lambdas, compute_t, r_of_p
+from tcshift.model import InteractionPotential
+from tcshift.pipeline import Pipeline
 
 
 @pytest.fixture(scope="module")
@@ -17,8 +22,17 @@ def artifacts(model, numerics, solver, tc, pair_and_top):
     """``run_identity_checks``'s keyword arguments on the default model."""
     t = compute_t(pair_and_top[0], tc, model, solver.grids)
     gl = compute_lambdas(t, tc, model.mu, pair_and_top[1].gap)
+    half = dataclasses.replace(numerics, n_r=numerics.n_r // 2, n_p=numerics.n_p // 2)
+    t_half = Pipeline(model, half).t_profile()
     return dict(
-        model=model, numerics=numerics, solver=solver, tc=tc, pair_top=pair_and_top, t=t, gl=gl
+        model=model,
+        numerics=numerics,
+        solver=solver,
+        tc=tc,
+        pair_top=pair_and_top,
+        t=t,
+        gl=gl,
+        t_half=lambda: t_half,
     )
 
 
@@ -78,7 +92,7 @@ class TestBattery:
             "matsubara_xi_convergence",
             "hessian_identity",
             "bs_round_trip",
-            "norm_two_route",
+            "norm_half_resolution",
             "gl_thermal_slope",
             "overlap_small_p",
         )
@@ -102,17 +116,70 @@ class TestMinorant:
 
     def test_small_p_binding(self, pair):
         # minorant <= function at the smallest sampled momentum
-        from tcshift.gl import r_of_p
-
         c, e0 = rbound_minorant(pair)
         p0 = 1e-3
         assert c * p0 * p0 / (e0 + p0 * p0) <= 1.0 - r_of_p(pair, p0)
 
     def test_holds_on_dense_scan(self, pair):
-        from tcshift.gl import r_of_p
-
+        # c is a minimum over the 200 fitted momenta, so it is tested between them
         c, e0 = rbound_minorant(pair)
-        p = np.logspace(-3, 2, 200)
+        p_fit = np.logspace(-3, 2, 200)
+        p = np.sqrt(p_fit[1:] * p_fit[:-1])
         lhs = 1.0 - r_of_p(pair, p)
         rhs = c * p * p / (e0 + p * p)
-        assert np.all(lhs >= rhs - 1e-14)
+        assert np.all(lhs > rhs)
+
+
+def _battery(model, numerics) -> dict:
+    return {r.id: r for r in Pipeline(model, numerics).checks()}
+
+
+class TestHalfResolution:
+    """``norm_half_resolution`` re-solves the profile on half the grid nodes."""
+
+    @pytest.mark.parametrize("config", ["gaussian.json", "square_well_1d.json"])
+    def test_resolved_on_shipped_configs(self, config):
+        from tcshift.model import load_config
+
+        path = Path(__file__).resolve().parents[1] / "configs" / config
+        res = _battery(*load_config(path))
+        assert [cid for cid, r in res.items() if not r.passed] == []
+        assert res["norm_half_resolution"].measured <= 1e-10
+
+    def test_trips_on_square_well_interaction(self, model, numerics):
+        # the jump of V at r = range falls inside a quadrature panel, which
+        # leaves lambda0 about 1.7 % off at n = 400 (a position-space route
+        # on the same radial quadrature agreed to 5e-10)
+        square = dataclasses.replace(model, V=InteractionPotential("square_well", 2.0, 1.0))
+        res = _battery(square, numerics)
+        assert [cid for cid, r in res.items() if not r.passed] == ["norm_half_resolution"]
+        assert res["norm_half_resolution"].measured > 1e-3
+
+    @pytest.mark.parametrize(
+        "V",
+        [
+            # beta_c 617.6: the position-space route was 2.0e-2 off here
+            InteractionPotential("gaussian", 0.8, 1.0),
+            # the route was 1.4e-4 off here
+            InteractionPotential("exponential", 1.0, 1.0),
+        ],
+        ids=["gaussian-0.8", "exponential-1"],
+    )
+    def test_passes_where_the_position_route_failed(self, model, numerics, V):
+        res = _battery(dataclasses.replace(model, V=V), numerics)
+        assert [cid for cid, r in res.items() if not r.passed] == []
+        assert res["norm_half_resolution"].measured <= 1e-9
+
+    def test_raising_re_solve_is_recorded(self, artifacts):
+        def t_half():
+            raise NoBracket("no crossing at half resolution")
+
+        res = {r.id: r for r in run_identity_checks(**{**artifacts, "t_half": t_half})}
+        assert [cid for cid, r in res.items() if not r.passed] == ["norm_half_resolution"]
+        assert res["norm_half_resolution"].measured == math.inf
+
+    def test_halved_grid_below_the_schema_minimum_is_recorded(self, model, numerics):
+        # n_r = 15 halves to 7, below the minimum of 8 that Numerics enforces
+        res = _battery(model, dataclasses.replace(numerics, n_r=15))
+        norm = res["norm_half_resolution"]
+        assert (norm.measured, norm.passed) == (math.inf, False)

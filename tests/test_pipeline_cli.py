@@ -32,7 +32,7 @@ CFG = {
     },
     "mu": 1.0,
     "h_values": [0.01, 0.02, 0.04],
-    "numerics": {"n_r": 192, "n_p": 192, "n_points": 1200},
+    "numerics": {"n_r": 400, "n_p": 400, "n_points": 1200},
 }
 
 
@@ -151,7 +151,8 @@ class TestPipeline:
             pipe.derive(h_values=(1.5,))
 
     def test_verify_builds_one_solver_per_route(self, monkeypatch):
-        # 1 tc solver, which validation shares, and 4 scaled-amplitude solvers for the battery
+        # 1 tc solver, which validation shares, 4 scaled-amplitude solvers for the battery
+        # and 1 for its half-resolution re-solve
         built = []
         init = BsSolver.__init__
 
@@ -162,7 +163,7 @@ class TestPipeline:
         monkeypatch.setattr(BsSolver, "__init__", counted)
         model, numerics = model_from_dict(CFG)
         Pipeline(model, numerics, CFG).bundle("verify")
-        assert len(built) == 5
+        assert len(built) == 6
 
     def test_stage_prefixes(self):
         model, numerics = model_from_dict(CFG)
@@ -741,8 +742,8 @@ class TestCli:
             # EffectiveProblem raised a bare ValueError (exit 1, no error.json)
             ([[-4.3, 3.1], [-2.9, 1.35], [-1.7, 0.0], [-0.27, -3.09]], None, 86.0),
             # a left-side well: the last abscissa 0.1 made a box of 2, outside the
-            # well, and e0 read 0.0; its mirror image gets the same e0 at R = 100
-            ([[-5, 0], [-4.5, -3], [-3.5, -3], [-3, 0], [0.1, 0]], -0.0446772, 100.0),
+            # well, and e0 read 0.0; the table's depth stretches its box to 178.5
+            ([[-5, 0], [-4.5, -3], [-3.5, -3], [-3, 0], [0.1, 0]], -0.0446772, 178.52569917),
         ],
     )
     def test_left_side_table_gets_a_box_around_it(self, tmp_path, table, e0, radius):
@@ -752,7 +753,7 @@ class TestCli:
         assert self.run_cli("dc", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)) == 0
         gs = json.loads((out / "result.json").read_text())["ground_state"]
         ladder = json.loads((out / "manifest.json").read_text())["ground_state_ladder"]
-        assert ladder["domain_radius"] == radius
+        assert ladder["domain_radius"] == pytest.approx(radius, rel=1e-10)
         if e0 is None:
             # coupling * W never dips below its right end, so the answer is that end
             assert ladder["certificate"] == "above_bottom"
@@ -760,6 +761,21 @@ class TestCli:
         else:
             assert gs["bound_state"]
             assert gs["e0"] == pytest.approx(e0, abs=1e-7)
+
+    def test_table_depth_stretches_the_box(self, tmp_path):
+        # a table ignores W.amplitude, whose depth 0 gave this shallow well a
+        # box of R = 40, where dc exited 0 with e0 0.0 and no bound state
+        cfg = json.loads((CONFIGS / "gaussian.json").read_text())
+        table = [[0, 0], [0.5, -0.3], [1.5, -0.3], [2, 0]]
+        cfg["W"] = {"family": "tabulated_1d", "dimensionality": "one_d", "table": table}
+        out = tmp_path / "out"
+        assert self.run_cli("dc", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)) == 0
+        gs = json.loads((out / "result.json").read_text())["ground_state"]
+        ladder = json.loads((out / "manifest.json").read_text())["ground_state_ladder"]
+        assert ladder["domain_radius"] == pytest.approx(225.819132100, rel=1e-10)
+        assert gs["bound_state"]
+        # a 4x box gives -5.40474e-4
+        assert gs["e0"] == pytest.approx(-5.404193e-4, rel=1e-6)
 
     def test_import_leaves_scipy_unloaded(self):
         proc = subprocess.run(

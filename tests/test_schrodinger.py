@@ -189,6 +189,30 @@ class TestGroundEnergy:
         W = ExternalField(family="gaussian_well", amplitude=-1e-8, range=1.0)
         assert default_domain_radius(1.0, W) == 1e4
 
+    @pytest.mark.parametrize("family", ["gaussian_well", "square_well_1d"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        amplitude=st.floats(0.5, 64.0), coupling=st.floats(0.01, 2.0), flip=st.booleans()
+    )
+    def test_well_depth_is_its_amplitude(self, family, amplitude, coupling, flip):
+        # a well (coupling * amplitude < 0) keeps the radius its amplitude gave
+        sign = -1.0 if flip else 1.0
+        dim = "one_d" if family == "square_well_1d" else "radial_3d"
+        W = ExternalField(family, -sign * amplitude, 2.0, dim)
+        depth = abs(sign * coupling * W.amplitude)
+        expected = min(1e4, 20.0 * W.reach / min(1.0, math.sqrt(depth)))
+        assert default_domain_radius(sign * coupling, W) == expected
+
+    @pytest.mark.parametrize("amplitude", [-64.0, -3.0, -0.5])
+    def test_constant_field_answer_ignores_the_radius(self, amplitude):
+        # a constant field has depth 0; its answer is b exactly, whatever the box
+        W = ExternalField(family="constant", amplitude=amplitude, range=2.0)
+        R = default_domain_radius(0.1, W)
+        assert R == 40.0
+        for radius in (R, R / 10.0):
+            gs = ground_energy(EffectiveProblem(0.1, W, radius, 2000))
+            assert (gs.e0, gs.bound_state) == (0.1 * amplitude, False)
+
 
 # lambda1 / lambda0 of configs/gaussian.json: the coupling of every field_scan field
 GAUSSIAN_CONFIG_COUPLING = 0.10458689266989643
