@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionViolation, NoBracket, NonMonotone
-from .grids import GridPair, RadialFunction, RadialGrid, chi_multiplier_values, sandwich
+from .grids import (
+    GridPair,
+    RadialFunction,
+    RadialGrid,
+    chi_multiplier_values,
+    row_blocks,
+    sandwich,
+)
 
 __all__ = [
     "SpectralTop",
@@ -92,28 +99,48 @@ def _standard_normal(rng: random.Random, shape: tuple[int, int]) -> np.ndarray:
     return z[:count].reshape(shape)
 
 
-def _compress(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Q with orthonormal columns, B = Q^T G and the residual ||G - Q B||_F.
+def _g1_rows(d: np.ndarray, e: np.ndarray, j0: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Rows ``rows`` of G1 = diag(d) j0 diag(e), built in one buffer."""
+    G = np.multiply(d[rows, None], j0[rows])
+    G *= e
+    return G
+
+
+def _compress(d: np.ndarray, e: np.ndarray, j0: np.ndarray):
+    """Q with orthonormal columns, B = Q^T G, ||G - Q B||_F and ||G||_F for G = diag(d) j0 diag(e).
 
     The number of test columns doubles from RANGE_K0 until the residual is
     within RANGE_RTOL ||G||_F; once it reaches min(n_r, n_p) the range is
-    taken whole, Q = I and B = G, with residual 0.  Every attempt forms
-    G - Q B in the same n_r x n_p work buffer.
+    taken whole, Q = I and B = G, with residual 0.  Otherwise G is never
+    formed: the sketch G Omega is d * (j0 (e * Omega)), Q^T G is
+    ((d * Q)^T j0) * e, and both norms are summed over row blocks of G.
     """
-    n_r, n_p = G.shape
+    n_r, n_p = j0.shape
     rng = random.Random(0)
-    tol = RANGE_RTOL * np.linalg.norm(G)
-    work = np.empty_like(G)
+
+    def frobenius(Q=None, B=None) -> float:
+        """||G||_F, or ||G - Q B||_F given Q and B, summed over row blocks."""
+        total = 0.0
+        for rows in row_blocks(n_r):
+            G = _g1_rows(d, e, j0, rows)
+            if Q is not None:
+                G -= Q[rows] @ B
+            G = G.ravel()
+            total += float(G @ G)
+        return math.sqrt(total)
+
+    norm = frobenius()
+    tol = RANGE_RTOL * norm
     k = RANGE_K0
     while k < min(n_r, n_p):
-        Q, _ = np.linalg.qr(G @ _standard_normal(rng, (n_p, k)))
-        B = Q.T @ G
-        np.subtract(G, np.matmul(Q, B, out=work), out=work)
-        residual = float(np.linalg.norm(work))
+        Q, _ = np.linalg.qr(d[:, None] * (j0 @ (e[:, None] * _standard_normal(rng, (n_p, k)))))
+        B = (d[:, None] * Q).T @ j0
+        B *= e
+        residual = frobenius(Q, B)
         if residual <= tol:
-            return Q, B, residual
+            return Q, B, residual, norm
         k *= 2
-    return np.eye(n_r), G, 0.0
+    return np.eye(n_r), _g1_rows(d, e, j0), 0.0, norm
 
 
 @dataclass(frozen=True)
@@ -135,12 +162,9 @@ def _shape_columns(V, grids: GridPair) -> np.ndarray:
     return np.sqrt(V.shape(r)) * r * np.sqrt(wr)
 
 
-def _shape_matrix(d: np.ndarray, grids: GridPair) -> np.ndarray:
-    """G1 from the radial weights ``d`` of ``_shape_columns``, built in one buffer."""
+def _momentum_columns(grids: GridPair) -> np.ndarray:
     p, wp = grids.pgrid.nodes, grids.pgrid.weights
-    G = np.multiply(d[:, None], grids.j0)
-    G *= np.sqrt((2.0 / math.pi) * wp * p * p)
-    return G
+    return np.sqrt((2.0 / math.pi) * wp * p * p)
 
 
 def _shape_factor(V, grids: GridPair) -> ShapeFactor:
@@ -153,9 +177,8 @@ def _shape_factor(V, grids: GridPair) -> ShapeFactor:
     key = d.tobytes()
     with grids.lock:
         if key not in grids.shape_factors:
-            G1 = _shape_matrix(d, grids)
-            Q, B, residual = _compress(G1)
-            grids.shape_factors[key] = ShapeFactor(Q, B, residual, float(np.linalg.norm(G1)))
+            compressed = _compress(d, _momentum_columns(grids), grids.j0)
+            grids.shape_factors[key] = ShapeFactor(*compressed)
         return grids.shape_factors[key]
 
 
@@ -194,8 +217,10 @@ class BsSolver:
         self._weyl = 2.0 * model.V.gain * shape.norm * shape.residual
         self._lambda_cache: dict[float, float] = {}
 
-    def _factor(self) -> np.ndarray:
-        G = _shape_matrix(_shape_columns(self.model.V, self.grids), self.grids)
+    def _factor(self, rows=slice(None)) -> np.ndarray:
+        """Rows ``rows`` of G = sqrt(g) G1."""
+        d, e = _shape_columns(self.model.V, self.grids), _momentum_columns(self.grids)
+        G = _g1_rows(d, e, self.grids.j0, rows)
         G *= math.sqrt(self.model.V.gain)
         return G
 
@@ -204,6 +229,19 @@ class BsSolver:
 
     def matrix(self, beta_or_inf: float) -> np.ndarray:
         return sandwich(self._factor(), self._chi(beta_or_inf))
+
+    def matrix_blocks(self, beta_or_inf: float, rows: slice, cols: slice):
+        """The blocks M[rows, cols] and M[cols, rows] of ``matrix``, from rows of G only.
+
+        As in ``sandwich``, M = (P + P^T) / 2 with P = S S^T and S = G diag(sqrt(chi)),
+        so the second block is the exact transpose of the first.
+        """
+        root = np.sqrt(self._chi(beta_or_inf))
+        S_rows, S_cols = self._factor(rows), self._factor(cols)
+        S_rows *= root
+        S_cols *= root
+        P, P_mirror = S_rows @ S_cols.T, S_cols @ S_rows.T
+        return 0.5 * (P + P_mirror.T), 0.5 * (P_mirror + P.T)
 
     def _reduced(self, beta_or_inf: float) -> np.ndarray:
         """The k x k matrix B diag(chi) B^T."""

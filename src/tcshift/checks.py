@@ -32,13 +32,14 @@ from .gl import (
     tau_hat_from_t,
 )
 from .grids import (
-    GridPair,
     RadialFunction,
-    apply_kernel,
-    assemble_chi_kernel,
+    apply_chi_kernel,
     build_momentum_grid,
+    chi_kernel_weights,
     ft3_radial,
     radial_inner,
+    row_blocks,
+    spherical_j0,
 )
 from .kernels import (
     L_pq,
@@ -60,6 +61,10 @@ from .model import Numerics, PhysicalModel
 __all__ = ["CheckResult", "run_identity_checks", "rbound_minorant", "CHECKS"]
 
 SEED = 20240811
+# rows per block of the uncompressed matrices that kernel_symmetry and
+# amplitude_linearity_matrix compare: wide enough for fast products, and
+# about 0.6 tables of working memory at n = 800
+MATRIX_BLOCK = 128
 
 # check id -> (category, test, expected, description), in output order.  A
 # numeric test is a tolerance: the check passes when |measured - expected| <=
@@ -208,6 +213,21 @@ def rbound_minorant(pair: PairState, n_samples: int = 200) -> tuple[float, float
     raise MinorantViolation("minorant ladder exhausted")  # pragma: no cover
 
 
+def _chi_quadratic_forms(beta, mu, rgrid, pgrid, taus) -> np.ndarray:
+    """radial_inner(tau, apply_kernel(assemble_chi_kernel(beta, mu, pair), tau)) for each tau.
+
+    With k = j0 diag(c) j0^T on the pair (rgrid, pgrid) and v = w r^2 tau the
+    form is 4 pi sum_a c_a (j0^T v)_a^2; j0^T v is summed over row blocks of
+    the table, which is never held whole.
+    """
+    r, w = rgrid.nodes, rgrid.weights
+    v = np.stack([w * r * r * tau.values for tau in taus], axis=1)
+    u = np.zeros((len(pgrid), len(taus)))
+    for rows in row_blocks(len(rgrid)):
+        u += spherical_j0(np.outer(r[rows], pgrid.nodes)).T @ v[rows]
+    return 4.0 * math.pi * (chi_kernel_weights(beta, mu, pgrid) @ (u * u))
+
+
 def _scaled(model: PhysicalModel, c: float) -> PhysicalModel:
     """``model`` with its interaction amplitude multiplied by ``c``."""
     return replace(model, V=replace(model.V, amplitude=c * model.V.amplitude))
@@ -287,18 +307,27 @@ def run_identity_checks(
     betas = np.logspace(math.log10(max(lo / 4, 1e-3)), math.log10(hi * 4), 10)
     m["lambda_monotone_in_beta"] = np.min(np.diff([solver.lambda_of(b) for b in betas]))
     m["bracket_certificate"] = max(solver.lambda_of(lo) - 1.0, 1.0 - solver.lambda_of(hi))
-    M1 = solver.matrix(tc.beta_c)
-    m["kernel_symmetry"] = np.max(np.abs(M1 - M1.T))
-    M4 = BsSolver(_scaled(model, 4.0), solver.grids).matrix(tc.beta_c)
-    m["amplitude_linearity_matrix"] = np.max(np.abs(M4 - 4.0 * M1))
+    # the uncompressed matrices at amplitudes 1 and 4, compared one pair of row blocks at a time
+    solver4 = BsSolver(_scaled(model, 4.0), solver.grids)
+    blocks = row_blocks(len(rgrid), MATRIX_BLOCK)
+    asymmetry = nonlinearity = 0.0
+    for i, rows in enumerate(blocks):
+        for cols in blocks[i:]:
+            M1 = solver.matrix_blocks(tc.beta_c, rows, cols)
+            M4 = solver4.matrix_blocks(tc.beta_c, rows, cols)
+            asymmetry = max(asymmetry, np.max(np.abs(M1[0] - M1[1].T)))
+            for m4, m1 in zip(M4, M1):
+                nonlinearity = max(nonlinearity, np.max(np.abs(m4 - 4.0 * m1)))
+    m["kernel_symmetry"] = asymmetry
+    m["amplitude_linearity_matrix"] = nonlinearity
     lam_base = solver.lambda_of(tc.beta_c)
     m["amplitude_linearity_lambda"] = max(
         abs(BsSolver(_scaled(model, c), solver.grids).lambda_of(tc.beta_c) - c * lam_base)
         / (c * lam_base)
         for c in (0.5, 2.0, 10.0)
     )
-    K = assemble_chi_kernel(tc.beta_c, model.mu, solver.grids)
-    recovered = np.sqrt(model.V(rgrid.nodes)) * apply_kernel(K, pair.v_half_phi).values
+    chi_w = apply_chi_kernel(tc.beta_c, model.mu, solver.grids, pair.v_half_phi)
+    recovered = np.sqrt(model.V(rgrid.nodes)) * chi_w.values
     diff = RadialFunction(rgrid, recovered - pair.phi_star.values)
     m["bs_round_trip"] = math.sqrt(radial_inner(diff, diff))
 
@@ -314,19 +343,20 @@ def run_identity_checks(
 
     # kernel on an independent momentum quadrature, so the two routes do not
     # share their discretization and the comparison has real content
-    worst_a0 = 0.0
     beta_probe = 2.5
     pgrid_indep = build_momentum_grid(
         numerics.resolved_p_max(model), (3 * numerics.n_p) // 2, mu=model.mu
     )
-    K_probe = assemble_chi_kernel(beta_probe, model.mu, GridPair(rgrid, pgrid_indep))
-    for _ in range(5):
-        width = rng.uniform(0.6, 1.6)
-        tau_pos = RadialFunction(rgrid, np.exp(-0.5 * (rgrid.nodes / width) ** 2))
-        a = a_functionals(ft3_radial(tau_pos, solver.grids), 1.0 / beta_probe, model.mu)
-        a0_pos = radial_inner(tau_pos, apply_kernel(K_probe, tau_pos))
-        worst_a0 = max(worst_a0, abs(a.a0 - a0_pos) / abs(a0_pos))
-    m["a0_two_route"] = worst_a0
+    taus = [
+        RadialFunction(rgrid, np.exp(-0.5 * (rgrid.nodes / rng.uniform(0.6, 1.6)) ** 2))
+        for _ in range(5)
+    ]
+    a0_pos = _chi_quadratic_forms(beta_probe, model.mu, rgrid, pgrid_indep, taus)
+    m["a0_two_route"] = max(
+        abs(a_functionals(ft3_radial(tau, solver.grids), 1.0 / beta_probe, model.mu).a0 - pos)
+        / abs(pos)
+        for tau, pos in zip(taus, a0_pos)
+    )
 
     tau_hat_c = tau_hat_from_t(t)
     a_at_tc = a_functionals(tau_hat_c, tc.T_c, model.mu)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .birman_schwinger import CriticalTemperature, PairState
 from .errors import PositivityViolation, ZeroNormError
-from .grids import GridPair, RadialFunction, RadialGrid, ft3_radial, spherical_j0
+from .grids import GridPair, RadialFunction, RadialGrid, ft3_radial, row_blocks, spherical_j0
 from .kernels import chi, g0, g1, g2
 
 __all__ = [
@@ -160,8 +160,12 @@ def r_of_p(pair: PairState, p) -> np.ndarray:
     grid = pair.phi_star.grid
     r, w = grid.nodes, grid.weights
     dens = 4.0 * math.pi * w * r * r * pair.phi_star.values**2
-    j0 = spherical_j0(np.outer(p, r))
-    out = (0.5 * (1.0 + j0)) @ dens
+    out = np.empty_like(p)
+    for rows in row_blocks(len(p)):  # (1 + j0)/2 in place, a block of momenta at a time
+        weight = spherical_j0(np.outer(p[rows], r))
+        weight += 1.0
+        weight *= 0.5
+        out[rows] = weight @ dens
     return out if out.shape != (1,) else float(out[0])
 
 

@@ -31,7 +31,19 @@ __all__ = [
     "radial_inner",
     "assemble_chi_kernel",
     "apply_kernel",
+    "apply_chi_kernel",
+    "row_blocks",
 ]
+
+# Height of the row blocks in which a stage or check works through an
+# n_r x n_p table without holding a second one.
+ROW_BLOCK = 32
+# The table build divides by its products about 1 MiB of rows at a time.  Freeing
+# a block that large raises glibc's dynamic mmap and trim thresholds above it, so
+# later work arrays of a few hundred KiB (the ground-state ladder's finest levels,
+# allocated on every call) are reused from the heap rather than trimmed and
+# faulted in again; without it the bench's deep radial wells ran about 25 % slower.
+TABLE_BLOCK_BYTES = 1 << 20
 
 
 def spherical_j0(x):
@@ -48,6 +60,28 @@ def spherical_j0(x):
     x2 = xs * xs
     out[small] = 1.0 - x2 / 6.0 + x2 * x2 / 120.0
     return out if out.ndim else float(out)
+
+
+def row_blocks(n: int, height: int = ROW_BLOCK):
+    """Slices of ``height`` consecutive rows that cover range(n), in order."""
+    return [slice(start, min(start + height, n)) for start in range(0, n, height)]
+
+
+def _j0_table(r: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """spherical_j0(np.outer(r, p)) for ascending positive r and p, bit for bit, in one buffer.
+
+    The buffer takes the products r_i p_a, then their sines in place; each
+    row block is divided by its products, recomputed, and the series is
+    written over the corner where r_i p_a < 1e-4 only.
+    """
+    table = np.multiply.outer(r, p)
+    np.sin(table, out=table)
+    for rows in row_blocks(len(r), max(1, TABLE_BLOCK_BYTES // table[0].nbytes)):
+        table[rows] /= np.multiply.outer(r[rows], p)
+    x = np.multiply.outer(r[r * p[0] < 1e-4], p[r[0] * p < 1e-4])
+    small = x < 1e-4
+    table[: x.shape[0], : x.shape[1]][small] = spherical_j0(x[small])
+    return table
 
 
 @functools.lru_cache(maxsize=64)
@@ -162,9 +196,11 @@ def build_momentum_grid(p_max: float, n_p: int, mu: float = 0.0) -> RadialGrid:
 class GridPair:
     """Radial and momentum grids with their read-only table j0[i, a] = j0(r_i p_a).
 
-    ``shape_factors`` holds the compressed interaction factors that
-    ``birman_schwinger.BsSolver`` builds on this pair, one per shape of V,
-    and ``lock`` guards it.
+    The table is the one n_r x n_p array the pipeline holds: every stage and
+    check reads it through products with vectors or n x k blocks, or a few
+    rows at a time (``row_blocks``).  ``shape_factors`` holds the compressed
+    interaction factors that ``birman_schwinger.BsSolver`` builds on this
+    pair, one per shape of V, and ``lock`` guards it.
     """
 
     rgrid: RadialGrid
@@ -174,7 +210,7 @@ class GridPair:
     lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
 
     def __post_init__(self):
-        table = spherical_j0(np.outer(self.rgrid.nodes, self.pgrid.nodes))
+        table = _j0_table(self.rgrid.nodes, self.pgrid.nodes)
         table.flags.writeable = False
         object.__setattr__(self, "j0", table)
 
@@ -193,7 +229,8 @@ def ft3_radial(f: RadialFunction, grids: GridPair) -> RadialFunction:
     else:
         raise GridError("the function lives on neither grid of the pair")
     x, w = f.grid.nodes, f.grid.weights
-    vals = math.sqrt(2.0 / math.pi) * kernel @ (w * x * x * f.values)
+    # the scalar goes on the product: scaling the table would copy it
+    vals = math.sqrt(2.0 / math.pi) * (kernel @ (w * x * x * f.values))
     return RadialFunction(grid=target, values=vals)
 
 
@@ -226,20 +263,39 @@ def sandwich(F: np.ndarray, c: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+def chi_kernel_weights(beta_or_inf: float, mu: float, pgrid: RadialGrid) -> np.ndarray:
+    """(2/pi) w_a p_a^2 chi(p_a^2 - mu): the momentum weights of the position-space chi kernel."""
+    p, wp = pgrid.nodes, pgrid.weights
+    return (2.0 / math.pi) * wp * p * p * chi_multiplier_values(beta_or_inf, mu, pgrid)
+
+
 def assemble_chi_kernel(beta_or_inf: float, mu: float, grids: GridPair) -> np.ndarray:
     """Position-space kernel of the thermal multiplier in the s-wave sector.
 
     k(r, r') = (2/pi) int_0^inf chi(p^2 - mu) j0(p r) j0(p r') p^2 dp, the
     operator acting as (Af)(r) = int k(r, r') f(r') r'^2 dr'.  Assembled as
     ``sandwich(j0, (2/pi) w p^2 chi)`` with chi > 0, so the result is exactly
-    symmetric and positive semidefinite up to rounding.
+    symmetric and positive semidefinite up to rounding.  An n_r x n_r matrix:
+    ``apply_chi_kernel`` applies it without forming it.
     """
-    p, wp = grids.pgrid.nodes, grids.pgrid.weights
-    c = chi_multiplier_values(beta_or_inf, mu, grids.pgrid)
-    return sandwich(grids.j0, (2.0 / math.pi) * wp * p * p * c)
+    return sandwich(grids.j0, chi_kernel_weights(beta_or_inf, mu, grids.pgrid))
 
 
 def apply_kernel(kernel: np.ndarray, f: RadialFunction) -> RadialFunction:
     """Apply an s-wave multiplier kernel: (Af)(r_i) = sum_j w_j r_j^2 k_ij f_j."""
     r, w = f.grid.nodes, f.grid.weights
     return RadialFunction(grid=f.grid, values=kernel @ (w * r * r * f.values))
+
+
+def apply_chi_kernel(beta_or_inf: float, mu: float, grids: GridPair, f: RadialFunction):
+    """``apply_kernel(assemble_chi_kernel(beta_or_inf, mu, grids), f)`` as two table matvecs.
+
+    k = j0 diag(c) j0^T with c from ``chi_kernel_weights``, so the kernel is
+    applied as j0 (c * (j0^T v)) and never formed.
+    """
+    if f.grid is not grids.rgrid:
+        raise GridError("the chi kernel acts on the radial grid of the pair")
+    r, w = f.grid.nodes, f.grid.weights
+    c = chi_kernel_weights(beta_or_inf, mu, grids.pgrid)
+    values = grids.j0 @ (c * (grids.j0.T @ (w * r * r * f.values)))
+    return RadialFunction(grid=f.grid, values=values)

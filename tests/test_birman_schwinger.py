@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tcshift import birman_schwinger as bs
 from tcshift.birman_schwinger import RANGE_K0, RANGE_RTOL, BsSolver, sup_spec_zero_temperature
 from tcshift.errors import AssumptionViolation, GridError, NoBracket
 from tcshift.grids import (
@@ -16,6 +18,7 @@ from tcshift.grids import (
     apply_kernel,
     assemble_chi_kernel,
     radial_inner,
+    row_blocks,
 )
 from tcshift.model import (
     ExternalField,
@@ -66,6 +69,18 @@ class TestAssemble:
     def test_matrix_symmetric(self, solver):
         M = solver.matrix(3.0)
         assert np.array_equal(M, M.T)
+
+    @pytest.mark.parametrize("height", [32, 100, 400])
+    def test_blocks_tile_the_matrix(self, solver, height):
+        M = solver.matrix(3.0)
+        tiled = np.empty_like(M)
+        blocks = row_blocks(len(M), height)
+        for i, rows in enumerate(blocks):
+            for cols in blocks[i:]:
+                upper, lower = solver.matrix_blocks(3.0, rows, cols)
+                assert np.array_equal(upper, lower.T)
+                tiled[rows, cols], tiled[cols, rows] = upper, lower
+        assert np.max(np.abs(tiled - M)) <= 1e-14 * np.max(np.abs(M))
 
     def test_matrix_psd(self, solver):
         vals = np.linalg.eigvalsh(solver.matrix(1.0))
@@ -246,6 +261,22 @@ class TestZeroTemperature:
             sup_spec_zero_temperature(solver)
 
 
+def dense_compress(G):
+    """The range finder on a formed G: Q, B = Q^T G and ||G - Q B||_F."""
+    n_r, n_p = G.shape
+    rng = random.Random(0)
+    tol = RANGE_RTOL * np.linalg.norm(G)
+    k = RANGE_K0
+    while k < min(n_r, n_p):
+        Q, _ = np.linalg.qr(G @ bs._standard_normal(rng, (n_p, k)))
+        B = Q.T @ G
+        residual = float(np.linalg.norm(G - Q @ B))
+        if residual <= tol:
+            return Q, B, residual
+        k *= 2
+    return np.eye(n_r), G, 0.0
+
+
 def dense_lambda(solver, beta):
     return float(np.linalg.eigvalsh(solver.matrix(beta))[-1])
 
@@ -312,6 +343,26 @@ class TestCompression:
         if family == "gaussian":
             # the shipped config's V (numerical rank 25-29) needs no restart
             assert s.rank == 32
+
+    @pytest.mark.parametrize("n", [192, 400])
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("family", ["gaussian", "exponential", "square_well"])
+    def test_matches_the_range_finder_on_the_formed_factor(self, family, mu, n):
+        model, num = load_config(CONFIGS / "gaussian.json")
+        model = dataclasses.replace(model, V=dataclasses.replace(model.V, family=family), mu=mu)
+        grids = Numerics(n_r=n, n_p=n).build_grids(model)
+        d, e = bs._shape_columns(model.V, grids), bs._momentum_columns(grids)
+        G1 = bs._g1_rows(d, e, grids.j0)
+        Q_ref, B_ref, residual_ref = dense_compress(G1)
+        Q, B, residual, norm = bs._compress(d, e, grids.j0)
+        scale = np.linalg.norm(G1)
+        assert norm == pytest.approx(scale, rel=1e-14)
+        assert B.shape == B_ref.shape
+        assert abs(residual - residual_ref) <= 1e-15 * scale
+        # Q B and Q_ref B_ref are both within their residuals of G1.  B itself is
+        # not compared: columns of Q past the numerical rank span rounding noise,
+        # so their rows of B differ by up to the residual-sized tail of G1
+        assert np.linalg.norm(Q @ B - Q_ref @ B_ref) <= residual + residual_ref + 1e-15 * scale
 
     def test_small_grid_is_exact(self, model):
         num = Numerics(n_r=RANGE_K0, n_p=RANGE_K0)

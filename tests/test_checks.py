@@ -10,9 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tcshift.checks import CHECKS, rbound_minorant, run_identity_checks
+from tcshift.checks import CHECKS, _chi_quadratic_forms, rbound_minorant, run_identity_checks
 from tcshift.errors import NoBracket
 from tcshift.gl import compute_lambdas, compute_t, r_of_p
+from tcshift.grids import (
+    GridPair,
+    RadialFunction,
+    apply_kernel,
+    assemble_chi_kernel,
+    build_momentum_grid,
+    radial_inner,
+)
 from tcshift.model import InteractionPotential
 from tcshift.pipeline import Pipeline
 
@@ -102,6 +110,21 @@ class TestBattery:
         for cid in ("kernel_symmetry", "amplitude_linearity_matrix", "t_sign_covariance"):
             assert res[cid].passed, cid
 
+    def test_block_compared_matrices_read_exactly_zero(self, results):
+        res = {r.id: r for r in results}
+        assert res["kernel_symmetry"].measured == 0.0
+        assert res["amplitude_linearity_matrix"].measured == 0.0
+
+    def test_probe_forms_match_the_assembled_kernel(self, grids, model):
+        # the a0_two_route position side, against the kernel formed on the probe pair
+        pgrid = build_momentum_grid(8.0, 600, mu=model.mu)
+        taus = [RadialFunction(grids.rgrid, np.exp(-0.5 * (grids.rgrid.nodes / w) ** 2))
+                for w in (0.6, 1.1, 1.6)]
+        K = assemble_chi_kernel(2.5, model.mu, GridPair(grids.rgrid, pgrid))
+        dense = [radial_inner(tau, apply_kernel(K, tau)) for tau in taus]
+        forms = _chi_quadratic_forms(2.5, model.mu, grids.rgrid, pgrid, taus)
+        assert forms == pytest.approx(dense, rel=1e-13)
+
     def test_categories_are_known(self, results):
         assert {r.category for r in results} <= {"closed_form", "identity", "oracle"}
 
@@ -144,6 +167,7 @@ class TestHalfResolution:
         path = Path(__file__).resolve().parents[1] / "configs" / config
         res = _battery(*load_config(path))
         assert [cid for cid, r in res.items() if not r.passed] == []
+        assert res["kernel_symmetry"].measured == res["amplitude_linearity_matrix"].measured == 0.0
         assert res["norm_half_resolution"].measured <= 1e-10
 
     def test_trips_on_square_well_interaction(self, model, numerics):

@@ -24,6 +24,7 @@ from tcshift.grids import (
     assemble_chi_kernel,
     ft3_radial,
     radial_inner,
+    spherical_j0,
 )
 from tcshift.kernels import chi, hessian_L_closed
 
@@ -159,6 +160,14 @@ class TestOverlap:
         R = r_of_p(pair, p)
         assert np.all(R >= 0.0) and np.all(R <= 1.0)
         assert np.all(1.0 - R > 0.0)
+
+    def test_matches_the_formula_on_all_momenta_at_once(self, pair):
+        # R is built a block of momenta at a time; 200 momenta span several blocks
+        p = np.logspace(-3, 2, 200)
+        g = pair.phi_star.grid
+        dens = 4.0 * math.pi * g.weights * g.nodes**2 * pair.phi_star.values**2
+        formula = (0.5 * (1.0 + spherical_j0(np.outer(p, g.nodes)))) @ dens
+        assert np.max(np.abs(r_of_p(pair, p) - formula)) <= 1e-15
 
     def test_large_p_plateau(self, pair, model):
         p_large = 50.0 / model.V.range

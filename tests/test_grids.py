@@ -6,6 +6,8 @@ the multiplier kernel must converge entrywise under momentum refinement.
 """
 
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from tcshift.errors import GridError
 from tcshift.grids import (
     GridPair,
     RadialFunction,
+    RadialGrid,
+    apply_chi_kernel,
     apply_kernel,
     assemble_chi_kernel,
     build_momentum_grid,
@@ -24,6 +28,9 @@ from tcshift.grids import (
     radial_inner,
     spherical_j0,
 )
+from tcshift.model import load_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +135,38 @@ class TestFourier:
         with pytest.raises(ValueError):
             grids.j0[0, 0] = 0.0
 
+    @pytest.mark.parametrize("pair", ["gaussian.json", "square_well_1d.json", "small_products"])
+    def test_table_is_spherical_j0_of_the_products_bitwise(self, pair):
+        if pair == "small_products":
+            # r_i p_a < 1e-4 on 648 entries, a staircase in the first 40 rows and 31 columns
+            rg = RadialGrid(np.geomspace(1e-4, 3.0, 60), np.full(60, 0.05), r_max=3.0)
+            pg = RadialGrid(np.geomspace(1e-3, 6.0, 40), np.full(40, 0.15), r_max=6.0)
+        else:
+            model, numerics = load_config(CONFIGS / pair)
+            built = numerics.build_grids(model)
+            rg, pg = built.rgrid, built.pgrid
+        table = GridPair(rg, pg).j0
+        reference = spherical_j0(np.outer(rg.nodes, pg.nodes))
+        assert np.array_equal(table.view(np.int64), reference.view(np.int64))
+        if pair == "small_products":
+            small = np.outer(rg.nodes, pg.nodes) < 1e-4
+            assert small.sum() == 648 and not small[:40, :31].all()
+
+    @pytest.mark.parametrize("direction", ["r_to_p", "p_to_r"])
+    def test_transform_allocates_vectors_only(self, rgrid, pgrid, grids, direction):
+        # sqrt(2/pi) * kernel @ v once scaled a copy of the whole table
+        grid = rgrid if direction == "r_to_p" else pgrid
+        f = RadialFunction(grid, np.exp(-0.5 * grid.nodes**2))
+        ft3_radial(f, grids)
+        tracemalloc.start()
+        try:
+            ft3_radial(f, grids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        vector = 8 * max(len(rgrid), len(pgrid))
+        assert peak <= 8 * vector < grids.j0.nbytes / 10
+
     def test_function_on_neither_grid_raises(self, grids):
         other = build_radial_grid(12.0, 200)
         with pytest.raises(GridError):
@@ -209,6 +248,16 @@ class TestChiKernel:
         mult = RadialFunction(pg, chi(1.5, pg.nodes**2 - 1.0) * fhat.values)
         via_fourier = ft3_radial(mult, grids)
         assert np.max(np.abs(via_kernel.values - via_fourier.values)) < 1e-9
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 40.0])
+    def test_applied_without_assembly(self, rgrid, grids, beta):
+        f = RadialFunction(rgrid, np.exp(-0.5 * rgrid.nodes**2) * (1 + rgrid.nodes))
+        dense = apply_kernel(assemble_chi_kernel(beta, 1.0, grids), f).values
+        applied = apply_chi_kernel(beta, 1.0, grids, f)
+        assert applied.grid is rgrid
+        assert np.max(np.abs(applied.values - dense)) <= 1e-13 * np.max(np.abs(dense))
+        with pytest.raises(GridError):
+            apply_chi_kernel(beta, 1.0, grids, ft3_radial(f, grids))
 
     def test_inf_requires_guard(self, rgrid, grids):
         # 1/(p^2 - mu) is singular on the sphere p^2 = mu > 0 and finite for mu <= 0
