@@ -72,15 +72,19 @@ def _j0_table(r: np.ndarray, p: np.ndarray) -> np.ndarray:
 
     The buffer takes the products r_i p_a, then their sines in place; each
     row block is divided by its products, recomputed, and the series is
-    written over the corner where r_i p_a < 1e-4 only.
+    written over its products below 1e-4, which lie in the first columns.
     """
     table = np.multiply.outer(r, p)
     np.sin(table, out=table)
-    for rows in row_blocks(len(r), max(1, TABLE_BLOCK_BYTES // table[0].nbytes)):
-        table[rows] /= np.multiply.outer(r[rows], p)
-    x = np.multiply.outer(r[r * p[0] < 1e-4], p[r[0] * p < 1e-4])
-    small = x < 1e-4
-    table[: x.shape[0], : x.shape[1]][small] = spherical_j0(x[small])
+    height = max(1, TABLE_BLOCK_BYTES // table[0].nbytes)
+    products = np.empty((min(height, len(r)), len(p)))
+    corner = np.count_nonzero(r[0] * p < 1e-4)
+    for rows in row_blocks(len(r), height):
+        x = np.multiply.outer(r[rows], p, out=products[: rows.stop - rows.start])
+        table[rows] /= x
+        x = x[:, :corner]
+        small = x < 1e-4
+        table[rows, :corner][small] = spherical_j0(x[small])
     return table
 
 
