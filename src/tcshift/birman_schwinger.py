@@ -11,6 +11,7 @@ bracket.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -106,6 +107,25 @@ def _g1_rows(d: np.ndarray, e: np.ndarray, j0: np.ndarray, rows=slice(None)) -> 
     return G
 
 
+@functools.lru_cache(maxsize=8)
+def _test_matrix(n_p: int, k: int) -> np.ndarray:
+    """The n_p x k Gaussian test matrix of ``_compress``, drawn once per process.
+
+    It is the draw of ``random.Random(0)``'s stream that follows those of
+    RANGE_K0, 2 RANGE_K0, ..., k / 2 columns, as a compression that doubles
+    its columns up to k draws them; the cached array is shared, so it is
+    read-only.
+    """
+    rng = random.Random(0)
+    columns = RANGE_K0
+    omega = _standard_normal(rng, (n_p, columns))
+    while columns < k:
+        columns *= 2
+        omega = _standard_normal(rng, (n_p, columns))
+    omega.flags.writeable = False
+    return omega
+
+
 def _compress(d: np.ndarray, e: np.ndarray, j0: np.ndarray):
     """Q with orthonormal columns, B = Q^T G, ||G - Q B||_F and ||G||_F for G = diag(d) j0 diag(e).
 
@@ -113,34 +133,32 @@ def _compress(d: np.ndarray, e: np.ndarray, j0: np.ndarray):
     within RANGE_RTOL ||G||_F; once it reaches min(n_r, n_p) the range is
     taken whole, Q = I and B = G, with residual 0.  Otherwise G is never
     formed: the sketch G Omega is d * (j0 (e * Omega)), Q^T G is
-    ((d * Q)^T j0) * e, and both norms are summed over row blocks of G.
+    ((d * Q)^T j0) * e, and both norms are summed over the same row blocks
+    of G in one pass.
     """
     n_r, n_p = j0.shape
-    rng = random.Random(0)
 
-    def frobenius(Q=None, B=None) -> float:
-        """||G||_F, or ||G - Q B||_F given Q and B, summed over row blocks."""
-        total = 0.0
+    def frobenius(Q=None, B=None) -> tuple[float, float]:
+        """||G - Q B||_F (0 without Q and B) and ||G||_F, summed over row blocks."""
+        residual = norm = 0.0
         for rows in row_blocks(n_r):
-            G = _g1_rows(d, e, j0, rows)
+            G = _g1_rows(d, e, j0, rows).ravel()
+            norm += float(G @ G)
             if Q is not None:
-                G -= Q[rows] @ B
-            G = G.ravel()
-            total += float(G @ G)
-        return math.sqrt(total)
+                G -= (Q[rows] @ B).ravel()
+                residual += float(G @ G)
+        return math.sqrt(residual), math.sqrt(norm)
 
-    norm = frobenius()
-    tol = RANGE_RTOL * norm
     k = RANGE_K0
     while k < min(n_r, n_p):
-        Q, _ = np.linalg.qr(d[:, None] * (j0 @ (e[:, None] * _standard_normal(rng, (n_p, k)))))
+        Q, _ = np.linalg.qr(d[:, None] * (j0 @ (e[:, None] * _test_matrix(n_p, k))))
         B = (d[:, None] * Q).T @ j0
         B *= e
-        residual = frobenius(Q, B)
-        if residual <= tol:
+        residual, norm = frobenius(Q, B)
+        if residual <= RANGE_RTOL * norm:
             return Q, B, residual, norm
         k *= 2
-    return np.eye(n_r), _g1_rows(d, e, j0), 0.0, norm
+    return np.eye(n_r), _g1_rows(d, e, j0), 0.0, frobenius()[1]
 
 
 @dataclass(frozen=True)

@@ -67,15 +67,40 @@ def row_blocks(n: int, height: int = ROW_BLOCK):
     return [slice(start, min(start + height, n)) for start in range(0, n, height)]
 
 
-def _j0_table(r: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """spherical_j0(np.outer(r, p)) for ascending positive r and p, bit for bit, in one buffer.
+def _fill_sines(table: np.ndarray, rgrid: RadialGrid, p: np.ndarray):
+    """Write sin(r_i p_a) into ``table`` by angle addition over ``rgrid``'s panels.
 
-    The buffer takes the products r_i p_a, then their sines in place; each
-    row block is divided by its products, recomputed, and the series is
-    written over its products below 1e-4, which lie in the first columns.
+    With r = s + o, a panel start plus an offset (``RadialGrid.starts`` and
+    ``offsets``), sin(r p) = sin(s p) cos(o p) + cos(s p) sin(o p): one row of
+    sines and cosines per start and per offset instead of a sine per entry.
+    The panels are filled about ROW_BLOCK rows at a time.  Anchoring at the
+    starts keeps the first panel, s = 0, exact.
     """
-    table = np.multiply.outer(r, p)
-    np.sin(table, out=table)
+    n_o = len(rgrid.offsets)
+    panels = table.reshape(len(rgrid.starts), n_o, len(p))
+    op = np.multiply.outer(rgrid.offsets, p)
+    sin_o, cos_o = np.sin(op), np.cos(op, out=op)
+    height = max(1, ROW_BLOCK // n_o)
+    term = np.empty((min(height, len(rgrid.starts)), n_o, len(p)))
+    for k in row_blocks(len(rgrid.starts), height):
+        sp = np.multiply.outer(rgrid.starts[k], p)
+        sin_s, cos_s = np.sin(sp), np.cos(sp, out=sp)
+        np.multiply(sin_s[:, None], cos_o, out=panels[k])
+        panels[k] += np.multiply(cos_s[:, None], sin_o, out=term[: k.stop - k.start])
+
+
+def _j0_table(rgrid: RadialGrid, p: np.ndarray) -> np.ndarray:
+    """j0(r_i p_a) for the nodes r of ``rgrid`` and ascending p > 0, in one buffer.
+
+    The buffer takes sin(r p) from ``_fill_sines``, whose sine and cosine
+    rows are freed on its return, before the products block is allocated.
+    Each block of about TABLE_BLOCK_BYTES of rows is then divided by its
+    products r p, recomputed, and the series is written over the products
+    below 1e-4, which lie in the first columns.
+    """
+    r = rgrid.nodes
+    table = np.empty((len(r), len(p)))
+    _fill_sines(table, rgrid, p)
     height = max(1, TABLE_BLOCK_BYTES // table[0].nbytes)
     products = np.empty((min(height, len(r)), len(p)))
     corner = np.count_nonzero(r[0] * p < 1e-4)
@@ -106,21 +131,25 @@ def composite_gauss_legendre(boundaries, nodes_per_panel: int):
     if boundaries.ndim != 1 or len(boundaries) < 2 or np.any(np.diff(boundaries) <= 0):
         raise GridError("panel boundaries must be strictly ascending")
     x, w = gauss_legendre(nodes_per_panel)
-    nodes, weights = [], []
-    for a, b in zip(boundaries[:-1], boundaries[1:]):
-        half = 0.5 * (b - a)
-        nodes.append(0.5 * (a + b) + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    a, b = boundaries[:-1, None], boundaries[1:, None]
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b) + half * x).ravel(), (half * w).ravel()
 
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Positive quadrature nodes and weights on (0, r_max]; weights sum to r_max."""
+    """Positive quadrature nodes and weights on (0, r_max]; weights sum to r_max.
+
+    The nodes are laid out as panels: node k * len(offsets) + j is
+    starts[k] + offsets[j].  A grid built from bare nodes counts as one-node
+    panels, its starts the nodes and its offsets (0,).
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
     r_max: float
+    starts: np.ndarray = field(default=None, repr=False)
+    offsets: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         n, w = self.nodes, self.weights
@@ -132,6 +161,11 @@ class RadialGrid:
             raise GridError("weights must be positive")
         if abs(w.sum() - self.r_max) > 1e-12 * max(1.0, self.r_max):
             raise GridError("weights do not sum to r_max")
+        if self.starts is None:
+            object.__setattr__(self, "starts", n)
+            object.__setattr__(self, "offsets", np.zeros(1))
+        elif not np.array_equal(np.add.outer(self.starts, self.offsets).ravel(), n):
+            raise GridError("panel starts plus offsets do not give the nodes")
 
     def __len__(self):
         return len(self.nodes)
@@ -153,14 +187,21 @@ class RadialFunction:
 
 
 def build_radial_grid(r_max: float, n_r: int) -> RadialGrid:
-    """Uniform composite panels on [0, r_max] with ~n_r total nodes."""
+    """Uniform composite panels on [0, r_max] with ~n_r total nodes.
+
+    Every panel shares one set of Gauss-Legendre offsets from its start.
+    """
     if r_max <= 0 or n_r < 8:
         raise GridError("need r_max > 0 and n_r >= 8")
     order = 16
     n_panels = max(2, round(n_r / order))
-    boundaries = np.linspace(0.0, r_max, n_panels + 1)
-    nodes, weights = composite_gauss_legendre(boundaries, order)
-    return RadialGrid(nodes=nodes, weights=weights, r_max=r_max)
+    width = r_max / n_panels
+    x, w = gauss_legendre(order)
+    starts = np.arange(n_panels) * width
+    offsets = (0.5 * width) * (1.0 + x)
+    nodes = np.add.outer(starts, offsets).ravel()
+    weights = np.tile((0.5 * width) * w, n_panels)
+    return RadialGrid(nodes=nodes, weights=weights, r_max=r_max, starts=starts, offsets=offsets)
 
 
 def _dedupe(pts, tol):
@@ -214,7 +255,7 @@ class GridPair:
     lock: threading.Lock = field(init=False, repr=False, default_factory=threading.Lock)
 
     def __post_init__(self):
-        table = _j0_table(self.rgrid.nodes, self.pgrid.nodes)
+        table = _j0_table(self.rgrid, self.pgrid.nodes)
         table.flags.writeable = False
         object.__setattr__(self, "j0", table)
 

@@ -277,6 +277,35 @@ def dense_compress(G):
     return np.eye(n_r), G, 0.0
 
 
+def streamed_compress(d, e, j0):
+    """``_compress`` drawing its test matrices afresh from one ``random.Random(0)`` stream
+    and summing ||G||_F in a pass of its own, as it did before the draws were cached."""
+    n_r, n_p = j0.shape
+    rng = random.Random(0)
+
+    def frobenius(Q=None, B=None):
+        total = 0.0
+        for rows in row_blocks(n_r):
+            G = bs._g1_rows(d, e, j0, rows)
+            if Q is not None:
+                G -= Q[rows] @ B
+            G = G.ravel()
+            total += float(G @ G)
+        return math.sqrt(total)
+
+    norm = frobenius()
+    k = RANGE_K0
+    while k < min(n_r, n_p):
+        Q, _ = np.linalg.qr(d[:, None] * (j0 @ (e[:, None] * bs._standard_normal(rng, (n_p, k)))))
+        B = (d[:, None] * Q).T @ j0
+        B *= e
+        residual = frobenius(Q, B)
+        if residual <= RANGE_RTOL * norm:
+            return Q, B, residual, norm
+        k *= 2
+    return np.eye(n_r), bs._g1_rows(d, e, j0), 0.0, norm
+
+
 def dense_lambda(solver, beta):
     return float(np.linalg.eigvalsh(solver.matrix(beta))[-1])
 
@@ -363,6 +392,31 @@ class TestCompression:
         # not compared: columns of Q past the numerical rank span rounding noise,
         # so their rows of B differ by up to the residual-sized tail of G1
         assert np.linalg.norm(Q @ B - Q_ref @ B_ref) <= residual + residual_ref + 1e-15 * scale
+
+    @pytest.mark.parametrize("n_p", [192, 405])
+    def test_test_matrices_are_the_stream_draws_and_read_only(self, n_p):
+        rng = random.Random(0)
+        for k in (RANGE_K0, 2 * RANGE_K0, 4 * RANGE_K0):
+            drawn = bs._standard_normal(rng, (n_p, k))
+            cached = bs._test_matrix(n_p, k)
+            assert bs._test_matrix(n_p, k) is cached
+            assert np.array_equal(cached.view(np.int64), drawn.view(np.int64))
+            with pytest.raises(ValueError):
+                cached[0, 0] = 0.0
+
+    @pytest.mark.parametrize("mu", [0.5, 2.5])
+    def test_restart_matches_the_streamed_draws_bitwise(self, mu):
+        # an exponential V restarts at 2 RANGE_K0 columns, so the second cached
+        # draw must continue the stream the first one started
+        model, num = load_config(CONFIGS / "gaussian.json")
+        model = dataclasses.replace(model, V=dataclasses.replace(model.V, family="exponential"), mu=mu)
+        grids = num.build_grids(model)
+        d, e = bs._shape_columns(model.V, grids), bs._momentum_columns(grids)
+        Q, B, residual, norm = bs._compress(d, e, grids.j0)
+        Q_ref, B_ref, residual_ref, norm_ref = streamed_compress(d, e, grids.j0)
+        assert Q.shape[1] == 2 * RANGE_K0
+        assert np.array_equal(Q, Q_ref) and np.array_equal(B, B_ref)
+        assert residual == residual_ref and norm == norm_ref
 
     def test_small_grid_is_exact(self, model):
         num = Numerics(n_r=RANGE_K0, n_p=RANGE_K0)

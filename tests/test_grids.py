@@ -5,10 +5,12 @@ int_0^inf e^{-2r} r^2 dr = 1/4 gives the inner-product normalization, and
 the multiplier kernel must converge entrywise under momentum refinement.
 """
 
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -69,6 +71,18 @@ class TestQuadrature:
         nodes, weights = composite_gauss_legendre([0.0, 1.0, 3.0], 16)
         assert np.array_equal(nodes[16:], 2.0 + 1.0 * ref_x)
         assert np.array_equal(weights[:16], 0.5 * ref_w)
+
+    def test_composite_matches_the_panel_loop_bitwise(self):
+        boundaries = np.array([0.0, 0.3, 0.31, 1.7, 2.0, 9.5])
+        x, w = gauss_legendre(12)
+        nodes, weights = [], []
+        for a, b in zip(boundaries[:-1], boundaries[1:]):
+            half = 0.5 * (b - a)
+            nodes.append(0.5 * (a + b) + half * x)
+            weights.append(half * w)
+        got = composite_gauss_legendre(boundaries, 12)
+        for arr, ref in zip(got, (np.concatenate(nodes), np.concatenate(weights))):
+            assert np.array_equal(arr.view(np.int64), ref.view(np.int64))
 
     def test_rejects_bad_boundaries(self):
         with pytest.raises(GridError):
@@ -135,22 +149,62 @@ class TestFourier:
         with pytest.raises(ValueError):
             grids.j0[0, 0] = 0.0
 
-    @pytest.mark.parametrize("pair", ["gaussian.json", "square_well_1d.json", "small_products"])
-    def test_table_is_spherical_j0_of_the_products_bitwise(self, pair):
-        if pair == "small_products":
-            # r_i p_a < 1e-4 on 648 entries, a staircase in the first 40 rows and 31 columns
-            rg = RadialGrid(np.geomspace(1e-4, 3.0, 60), np.full(60, 0.05), r_max=3.0)
-            pg = RadialGrid(np.geomspace(1e-3, 6.0, 40), np.full(40, 0.15), r_max=6.0)
-        else:
-            model, numerics = load_config(CONFIGS / pair)
-            built = numerics.build_grids(model)
-            rg, pg = built.rgrid, built.pgrid
+    @pytest.mark.parametrize(
+        "config, mu, n",
+        [
+            ("gaussian.json", None, None),
+            ("square_well_1d.json", None, None),
+            ("gaussian.json", 0.5, 400),
+            ("gaussian.json", 2.5, 400),
+            ("gaussian.json", 0.5, 800),
+            ("gaussian.json", 2.5, 800),
+        ],
+    )
+    def test_table_is_j0_to_a_few_ulps(self, config, mu, n):
+        # against 40-digit sin(x)/x of the exact product of the two nodes, on the
+        # first radial panel (its start is 0), the corner where r p < 1e-4 and a
+        # seeded sample of the rest; sin(x)/x evaluated entry by entry meets the
+        # same bound
+        model, numerics = load_config(CONFIGS / config)
+        if mu is not None:
+            model = dataclasses.replace(model, mu=mu)
+            numerics = dataclasses.replace(numerics, n_r=n, n_p=n)
+        pair = numerics.build_grids(model)
+        r, p = pair.rgrid.nodes, pair.pgrid.nodes
+        rng = np.random.default_rng(0)
+        corner = np.argwhere(np.outer(r, p) < 1e-4)
+        assert len(corner) > 0
+        i = np.concatenate([corner[:, 0], np.repeat(np.arange(16), 40), rng.integers(0, len(r), 2000)])
+        a = np.concatenate([corner[:, 1], rng.integers(0, len(p), 640), rng.integers(0, len(p), 2000)])
+        with mpmath.workdps(40):
+            exact = np.array(
+                [float(mpmath.sin(x) / x) for x in map(mpmath.fmul, r[i].tolist(), p[a].tolist())]
+            )
+        bound = 4.0 * np.finfo(float).eps
+        assert np.max(np.abs(pair.j0[i, a] - exact)) <= bound
+        assert np.max(np.abs(spherical_j0(np.outer(r, p))[i, a] - exact)) <= bound
+
+    def test_hand_built_table_is_spherical_j0_of_the_products_bitwise(self):
+        # one-node panels: the sines come from the products themselves.  r_i p_a < 1e-4
+        # on 648 entries, a staircase in the first 40 rows and 31 columns
+        rg = RadialGrid(np.geomspace(1e-4, 3.0, 60), np.full(60, 0.05), r_max=3.0)
+        pg = RadialGrid(np.geomspace(1e-3, 6.0, 40), np.full(40, 0.15), r_max=6.0)
+        assert np.array_equal(rg.starts, rg.nodes) and np.array_equal(rg.offsets, [0.0])
         table = GridPair(rg, pg).j0
         reference = spherical_j0(np.outer(rg.nodes, pg.nodes))
         assert np.array_equal(table.view(np.int64), reference.view(np.int64))
-        if pair == "small_products":
-            small = np.outer(rg.nodes, pg.nodes) < 1e-4
-            assert small.sum() == 648 and not small[:40, :31].all()
+        small = np.outer(rg.nodes, pg.nodes) < 1e-4
+        assert small.sum() == 648 and not small[:40, :31].all()
+
+    def test_radial_grid_is_panel_starts_plus_offsets(self, rgrid):
+        x, w = gauss_legendre(16)
+        width = 12.0 / 25
+        assert len(rgrid.starts) == 25 and rgrid.starts[0] == 0.0
+        assert np.array_equal(rgrid.offsets, 0.5 * width * (1.0 + x))
+        assert np.array_equal(rgrid.nodes, np.add.outer(rgrid.starts, rgrid.offsets).ravel())
+        assert np.array_equal(rgrid.weights, np.tile(0.5 * width * w, 25))
+        with pytest.raises(GridError):
+            RadialGrid(rgrid.nodes, rgrid.weights, 12.0, rgrid.starts, rgrid.offsets[::-1])
 
     @pytest.mark.parametrize("direction", ["r_to_p", "p_to_r"])
     def test_transform_allocates_vectors_only(self, rgrid, pgrid, grids, direction):

@@ -21,6 +21,7 @@ from tcshift.errors import ConfigError, DomainTooSmall
 from tcshift.grids import GridPair, build_momentum_grid, build_radial_grid
 from tcshift.model import ExternalField, load_config, model_from_dict, model_to_dict
 from tcshift.pipeline import SWEEP_AXES, STAGES, VERBS, Pipeline, config_digest, emit, sweep
+from tcshift.schrodinger import default_domain_radius
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -431,7 +432,10 @@ class TestSweep:
         assert len(built) == len(compressed) == 1
 
     def test_threads_match_serial(self):
-        for axis, values in (("h", [0.01, 0.02]), ("v_amplitude", [2.0, 2.5, 3.0])):
+        # pool threads share the process's cached test matrices, and a mu point
+        # builds its own grid pair and compresses on every call
+        axes = (("h", [0.01, 0.02]), ("v_amplitude", [2.0, 2.5, 3.0]), ("mu", [0.8, 1.2, 1.6]))
+        for axis, values in axes:
             serial = sweep(CFG, axis, values)
             threaded = sweep(CFG, axis, values, threads=2)
             assert serial == threaded, axis
@@ -789,6 +793,13 @@ class TestCli:
         assert record["error"] == "ConfigError" and "threads" in record["message"]
         assert not (out / "result.json").exists()
 
+    @staticmethod
+    def emitted_radius(out, cfg):
+        """The default box of the run's own coupling lambda1/lambda0, which the BLAS
+        thread count moves in its last digits."""
+        gl = json.loads((out / "result.json").read_text())["gl"]
+        return default_domain_radius(gl["lambda1"] / gl["lambda0"], model_from_dict(cfg)[0].W)
+
     @pytest.mark.parametrize(
         "table, e0, radius",
         [
@@ -807,7 +818,8 @@ class TestCli:
         assert self.run_cli("dc", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)) == 0
         gs = json.loads((out / "result.json").read_text())["ground_state"]
         ladder = json.loads((out / "manifest.json").read_text())["ground_state_ladder"]
-        assert ladder["domain_radius"] == radius
+        assert ladder["domain_radius"] == self.emitted_radius(out, cfg)
+        assert ladder["domain_radius"] == pytest.approx(radius, rel=1e-12)
         if e0 is None:
             # coupling * W never dips below its right end, so the answer is that end
             assert ladder["certificate"] == "above_bottom"
@@ -826,7 +838,8 @@ class TestCli:
         assert self.run_cli("dc", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)) == 0
         gs = json.loads((out / "result.json").read_text())["ground_state"]
         ladder = json.loads((out / "manifest.json").read_text())["ground_state_ladder"]
-        assert ladder["domain_radius"] == 225.81913210036976
+        assert ladder["domain_radius"] == self.emitted_radius(out, cfg)
+        assert ladder["domain_radius"] == pytest.approx(225.81913210036976, rel=1e-12)
         assert gs["bound_state"]
         # a 4x box gives -5.40474e-4
         assert gs["e0"] == pytest.approx(-5.404193e-4, rel=1e-6)
