@@ -126,39 +126,61 @@ def _test_matrix(n_p: int, k: int) -> np.ndarray:
     return omega
 
 
-def _compress(d: np.ndarray, e: np.ndarray, j0: np.ndarray):
-    """Q with orthonormal columns, B = Q^T G, ||G - Q B||_F and ||G||_F for G = diag(d) j0 diag(e).
+def _support(d: np.ndarray) -> int:
+    """The smallest row count n_S with ||d[n_S:]||_2 <= eps ||d||_2, at least two rows.
 
-    The number of test columns doubles from RANGE_K0 until the residual is
-    within RANGE_RTOL ||G||_F; once it reaches min(n_r, n_p) the range is
-    taken whole, Q = I and B = G, with residual 0.  Otherwise G is never
-    formed: the sketch G Omega is d * (j0 (e * Omega)), Q^T G is
-    ((d * Q)^T j0) * e, and both norms are summed over the same row blocks
-    of G in one pass.
+    Rows past it hold V below rounding of its weight; two rows keep a second
+    eigenvalue in the compressed problem.
+    """
+    tail = np.sqrt(np.cumsum(np.square(d[::-1])))[::-1]  # tail[i] = ||d[i:]||_2
+    kept = int(np.count_nonzero(tail > np.finfo(float).eps * tail[0]))
+    return min(max(kept, 2), len(d))
+
+
+def _compress(d: np.ndarray, e: np.ndarray, j0: np.ndarray):
+    """Q with orthonormal columns, B = Q^T G, a bound on ||G - Q B||_F and one on ||G||_F,
+    for G = diag(d) j0 diag(e).
+
+    The range finder runs on V's numerical support, the first n_S rows
+    (``_support``).  Since |j0| <= 1 the rows it drops have
+    ||G[n_S:]||_F <= ||d[n_S:]||_2 ||e||_2, so that bound is added in
+    quadrature to both norms of the support rows, and the acceptance test and
+    the Weyl bound stay rigorous.  Q has zero rows from n_S on.  The number of
+    test columns doubles from RANGE_K0 until the residual is within
+    RANGE_RTOL ||G||_F; once it reaches min(n_S, n_p) the range is taken
+    whole, Q = I on the support and B = G[:n_S], exact when d is zero past
+    n_S.  Otherwise G is never formed: the sketch G Omega is
+    d * (j0 (e * Omega)), Q^T G is ((d * Q)^T j0) * e, and both norms are
+    summed over the same row blocks of G in one pass.
     """
     n_r, n_p = j0.shape
+    n_s = _support(d)
+    dropped = float(np.linalg.norm(d[n_s:])) * float(np.linalg.norm(e))
+    d, j0 = d[:n_s], j0[:n_s]
 
     def frobenius(Q=None, B=None) -> tuple[float, float]:
-        """||G - Q B||_F (0 without Q and B) and ||G||_F, summed over row blocks."""
+        """Bounds on ||G - Q B||_F (on the dropped rows only without Q and B) and ||G||_F."""
         residual = norm = 0.0
-        for rows in row_blocks(n_r):
+        for rows in row_blocks(n_s):
             G = _g1_rows(d, e, j0, rows).ravel()
             norm += float(G @ G)
             if Q is not None:
                 G -= (Q[rows] @ B).ravel()
                 residual += float(G @ G)
-        return math.sqrt(residual), math.sqrt(norm)
+        return math.hypot(math.sqrt(residual), dropped), math.hypot(math.sqrt(norm), dropped)
 
     k = RANGE_K0
-    while k < min(n_r, n_p):
+    while k < min(n_s, n_p):
         Q, _ = np.linalg.qr(d[:, None] * (j0 @ (e[:, None] * _test_matrix(n_p, k))))
         B = (d[:, None] * Q).T @ j0
         B *= e
         residual, norm = frobenius(Q, B)
         if residual <= RANGE_RTOL * norm:
+            if n_s < n_r:
+                Q = np.vstack((Q, np.zeros((n_r - n_s, k))))
             return Q, B, residual, norm
         k *= 2
-    return np.eye(n_r), _g1_rows(d, e, j0), 0.0, frobenius()[1]
+    return np.eye(n_r, n_s), _g1_rows(d, e, j0), *frobenius()
 
 
 @dataclass(frozen=True)
@@ -166,7 +188,8 @@ class ShapeFactor:
     """The factor G1 of the unit-amplitude interaction on one grid pair, compressed.
 
     G1[i, a] = sqrt(shape(r_i)) r_i sqrt(w_i) j0(p_a r_i) sqrt((2/pi) w_a p_a^2)
-    and G1 ~ Q B with residual ||G1 - Q B||_F; ``norm`` is ||G1||_F.
+    and G1 ~ Q B; ``residual`` and ``norm`` bound ||G1 - Q B||_F and ||G1||_F
+    from above (see ``_compress``).
     """
 
     Q: np.ndarray

@@ -141,6 +141,7 @@ def main(argv=None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
             record = {
                 "error": type(exc).__name__,
+                "stage": exc.stage,
                 "message": str(exc),
                 "exit_code": exc.exit_code,
             }

@@ -2,9 +2,13 @@
 
 
 class ToolError(Exception):
-    """Base class for pipeline failures surfaced to the CLI."""
+    """Base class for pipeline failures surfaced to the CLI.
+
+    ``stage`` names the pipeline stage that raised it, None outside the stages.
+    """
 
     exit_code = 1
+    stage = None
 
 
 class ConfigError(ToolError):

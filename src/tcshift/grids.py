@@ -38,11 +38,12 @@ __all__ = [
 # Height of the row blocks in which a stage or check works through an
 # n_r x n_p table without holding a second one.
 ROW_BLOCK = 32
-# The table build divides by its products about 1 MiB of rows at a time.  Freeing
-# a block that large raises glibc's dynamic mmap and trim thresholds above it, so
-# later work arrays of a few hundred KiB (the ground-state ladder's finest levels,
-# allocated on every call) are reused from the heap rather than trimmed and
-# faulted in again; without it the bench's deep radial wells ran about 25 % slower.
+# The table build works in one scratch block of this size (the offset rows and
+# a block's second term), freed on return.  Freeing a block that large raises
+# glibc's dynamic mmap and trim thresholds above it, so later work arrays of a
+# few hundred KiB (the ground-state ladder's finest levels, allocated on every
+# call) are reused from the heap rather than trimmed and faulted in again;
+# without it the bench's deep radial wells ran about 25 % slower.
 TABLE_BLOCK_BYTES = 1 << 20
 
 
@@ -67,49 +68,39 @@ def row_blocks(n: int, height: int = ROW_BLOCK):
     return [slice(start, min(start + height, n)) for start in range(0, n, height)]
 
 
-def _fill_sines(table: np.ndarray, rgrid: RadialGrid, p: np.ndarray):
-    """Write sin(r_i p_a) into ``table`` by angle addition over ``rgrid``'s panels.
+def _j0_table(rgrid: RadialGrid, p: np.ndarray) -> np.ndarray:
+    """j0(r_i p_a) for the nodes r of ``rgrid`` and ascending p > 0, in one pass.
 
     With r = s + o, a panel start plus an offset (``RadialGrid.starts`` and
-    ``offsets``), sin(r p) = sin(s p) cos(o p) + cos(s p) sin(o p): one row of
-    sines and cosines per start and per offset instead of a sine per entry.
-    The panels are filled about ROW_BLOCK rows at a time.  Anchoring at the
-    starts keeps the first panel, s = 0, exact.
+    ``offsets``), sin(r p)/p = sin(s p) cos(o p)/p + cos(s p) sin(o p)/p: one
+    row of sines and cosines per start and per offset instead of a sine per
+    entry, with 1/p folded into the offset rows.  Each block of panels is
+    built in the table's own buffer and multiplied by 1/r while it is still
+    in cache; its start rows are computed for that block only.  The nodes are
+    positive, so sin(x) (1/p) (1/r) keeps its relative accuracy down to the
+    smallest products and needs no series corner.  Anchoring at the starts
+    keeps the first panel, s = 0, exact.  The offset rows and the block's
+    second term share one scratch buffer of TABLE_BLOCK_BYTES, freed on return.
     """
-    n_o = len(rgrid.offsets)
-    panels = table.reshape(len(rgrid.starts), n_o, len(p))
-    op = np.multiply.outer(rgrid.offsets, p)
-    sin_o, cos_o = np.sin(op), np.cos(op, out=op)
-    height = max(1, ROW_BLOCK // n_o)
-    term = np.empty((min(height, len(rgrid.starts)), n_o, len(p)))
-    for k in row_blocks(len(rgrid.starts), height):
+    n_s, n_o, n_p = len(rgrid.starts), len(rgrid.offsets), len(p)
+    table = np.empty((len(rgrid.nodes), n_p))
+    panels = table.reshape(n_s, n_o, n_p)
+    inv_r = (1.0 / rgrid.nodes).reshape(n_s, n_o, 1)
+    panel = n_o * n_p
+    scratch = np.empty(max(TABLE_BLOCK_BYTES // 8, 3 * panel))
+    sin_o, cos_o = scratch[: 2 * panel].reshape(2, n_o, n_p)
+    np.multiply.outer(rgrid.offsets, p, out=cos_o)
+    np.sin(cos_o, out=sin_o)
+    np.cos(cos_o, out=cos_o)
+    sin_o /= p
+    cos_o /= p
+    for k in row_blocks(n_s, len(scratch) // panel - 2):
         sp = np.multiply.outer(rgrid.starts[k], p)
-        sin_s, cos_s = np.sin(sp), np.cos(sp, out=sp)
-        np.multiply(sin_s[:, None], cos_o, out=panels[k])
-        panels[k] += np.multiply(cos_s[:, None], sin_o, out=term[: k.stop - k.start])
-
-
-def _j0_table(rgrid: RadialGrid, p: np.ndarray) -> np.ndarray:
-    """j0(r_i p_a) for the nodes r of ``rgrid`` and ascending p > 0, in one buffer.
-
-    The buffer takes sin(r p) from ``_fill_sines``, whose sine and cosine
-    rows are freed on its return, before the products block is allocated.
-    Each block of about TABLE_BLOCK_BYTES of rows is then divided by its
-    products r p, recomputed, and the series is written over the products
-    below 1e-4, which lie in the first columns.
-    """
-    r = rgrid.nodes
-    table = np.empty((len(r), len(p)))
-    _fill_sines(table, rgrid, p)
-    height = max(1, TABLE_BLOCK_BYTES // table[0].nbytes)
-    products = np.empty((min(height, len(r)), len(p)))
-    corner = np.count_nonzero(r[0] * p < 1e-4)
-    for rows in row_blocks(len(r), height):
-        x = np.multiply.outer(r[rows], p, out=products[: rows.stop - rows.start])
-        table[rows] /= x
-        x = x[:, :corner]
-        small = x < 1e-4
-        table[rows, :corner][small] = spherical_j0(x[small])
+        block = panels[k]
+        term = scratch[2 * panel : 2 * panel + block.size].reshape(block.shape)
+        np.multiply(np.sin(sp)[:, None], cos_o, out=block)
+        block += np.multiply(np.cos(sp, out=sp)[:, None], sin_o, out=term)
+        block *= inv_r[k]
     return table
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .birman_schwinger import BsSolver
 from .checks import run_identity_checks
-from .errors import AssumptionViolation, ConfigError
+from .errors import AssumptionViolation, ConfigError, ToolError
 from .gl import compute_lambdas, compute_t
 from .model import (
     TOLERANCES,
@@ -251,15 +251,20 @@ class Pipeline:
 
         Each use is requested through its method, so a wrapper on a stage
         method sees the nested requests.  ``tc`` first requires a passing
-        validation, on every request.
+        validation, on every request.  A ``ToolError`` leaves with the name
+        of the innermost stage it passed through as its ``stage``.
         """
         _reads, uses, build = STAGES[name]
-        if name == "tc":
-            self.require_assumptions()
-        if name in self._cache:
-            self.cache_hits += 1
-            return self._cache[name]
-        value = build(self.model, self.numerics, *(getattr(self, use)() for use in uses))
+        try:
+            if name == "tc":
+                self.require_assumptions()
+            if name in self._cache:
+                self.cache_hits += 1
+                return self._cache[name]
+            value = build(self.model, self.numerics, *(getattr(self, use)() for use in uses))
+        except ToolError as exc:
+            exc.stage = exc.stage or name
+            raise
         self._cache[name] = value
         return value
 

@@ -261,20 +261,22 @@ class TestZeroTemperature:
             sup_spec_zero_temperature(solver)
 
 
-def dense_compress(G):
-    """The range finder on a formed G: Q, B = Q^T G and ||G - Q B||_F."""
+def dense_compress(G, n_s):
+    """The range finder on the first ``n_s`` rows of a formed G: Q (zero from row n_s
+    on), B = Q^T G and ||G - Q B||_F over all of G."""
     n_r, n_p = G.shape
     rng = random.Random(0)
     tol = RANGE_RTOL * np.linalg.norm(G)
     k = RANGE_K0
-    while k < min(n_r, n_p):
-        Q, _ = np.linalg.qr(G @ bs._standard_normal(rng, (n_p, k)))
+    while k < min(n_s, n_p):
+        Q = np.zeros((n_r, k))
+        Q[:n_s], _ = np.linalg.qr(G[:n_s] @ bs._standard_normal(rng, (n_p, k)))
         B = Q.T @ G
         residual = float(np.linalg.norm(G - Q @ B))
         if residual <= tol:
             return Q, B, residual
         k *= 2
-    return np.eye(n_r), G, 0.0
+    return np.eye(n_r, n_s), G[:n_s], float(np.linalg.norm(G[n_s:]))
 
 
 def streamed_compress(d, e, j0):
@@ -320,7 +322,9 @@ class TestCompression:
         )
         num = Numerics(n_r=192, n_p=192)
         s = BsSolver(m, num.build_grids(m))
-        assert s.rank < 192 and 0.0 < s.residual
+        # a square well's d is exactly 0 past r = range, so its 16 support rows are
+        # taken whole and the factor is exact
+        assert s.rank < 192 and (s.residual == 0.0) == (family == "square_well")
         tc = s.solve_beta_c(num.beta_bracket, num.beta_c_rel_tol)
         below = dataclasses.replace(m, mu=-1.0)
         cases = [(s, b) for b in (0.5, tc.beta_c, 50.0)]
@@ -382,7 +386,7 @@ class TestCompression:
         grids = Numerics(n_r=n, n_p=n).build_grids(model)
         d, e = bs._shape_columns(model.V, grids), bs._momentum_columns(grids)
         G1 = bs._g1_rows(d, e, grids.j0)
-        Q_ref, B_ref, residual_ref = dense_compress(G1)
+        Q_ref, B_ref, residual_ref = dense_compress(G1, bs._support(d))
         Q, B, residual, norm = bs._compress(d, e, grids.j0)
         scale = np.linalg.norm(G1)
         assert norm == pytest.approx(scale, rel=1e-14)
@@ -419,10 +423,50 @@ class TestCompression:
         assert residual == residual_ref and norm == norm_ref
 
     def test_small_grid_is_exact(self, model):
+        # V's support holds 24 of the 32 rows: Q = I on them and B = G[:24], so the
+        # residual is the bound on the 8 dropped rows only
         num = Numerics(n_r=RANGE_K0, n_p=RANGE_K0)
         s = BsSolver(model, num.build_grids(model))
-        assert s.rank == RANGE_K0 and s.residual == 0.0
+        G = s._factor()
+        assert s.rank == 24 and np.array_equal(s._Q, np.eye(RANGE_K0, 24))
+        assert np.linalg.norm(G[24:]) <= s.residual <= 1e-16 * np.linalg.norm(G)
+        for beta in (0.5, 5.0, 50.0):
+            dense = dense_lambda(s, beta)
+            assert abs(s.lambda_of(beta) - dense) <= s.lambda_bound(beta) + 8 * np.spacing(dense)
+
+    # rows of V's numerical support at n = 192 and 400, the same for every mu
+    SUPPORT_ROWS = {"gaussian": (138, 287), "exponential": (192, 400), "square_well": (16, 35)}
+
+    @pytest.mark.parametrize("n", [192, 400])
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("family", ["gaussian", "exponential", "square_well"])
+    def test_support_cut_bounds_the_dropped_rows(self, family, mu, n):
+        model, num = load_config(CONFIGS / "gaussian.json")
+        model = dataclasses.replace(model, V=dataclasses.replace(model.V, family=family), mu=mu)
+        grids = Numerics(n_r=n, n_p=n).build_grids(model)
+        d, e = bs._shape_columns(model.V, grids), bs._momentum_columns(grids)
+        n_s = bs._support(d)
+        assert n_s == self.SUPPORT_ROWS[family][n == 400]
+        assert np.linalg.norm(d[n_s:]) <= np.finfo(float).eps * np.linalg.norm(d)
+        assert np.linalg.norm(d[n_s - 1 :]) > np.finfo(float).eps * np.linalg.norm(d)
+        Q, B, residual, norm = bs._compress(d, e, grids.j0)
+        assert not Q[n_s:].any()
+        G1 = bs._g1_rows(d, e, grids.j0)
+        scale = np.linalg.norm(G1)
+        # both hold up to the rounding of the norms themselves
+        rounding = np.finfo(float).eps * scale
+        assert residual >= np.linalg.norm(G1 - Q @ B) - rounding
+        assert norm >= scale - rounding
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.5])
+    def test_square_well_is_exact_on_its_support(self, mu):
+        # at n = 192 the range finder's first RANGE_K0 columns cover the 16 support
+        # rows, so Q = I there; at n = 400 it accepts 32 columns on the 35 rows
+        model = dataclasses.replace(
+            default_model(), V=InteractionPotential(family="square_well", amplitude=2.0), mu=mu
+        )
+        s = BsSolver(model, Numerics(n_r=192, n_p=192).build_grids(model))
+        assert s.rank == 16 and s.residual == 0.0 and np.array_equal(s._Q, np.eye(192, 16))
         for beta in (0.5, 5.0, 50.0):
             assert s.lambda_bound(beta) == 0.0
-            # Q = I and B = G: the k x k problem is the dense one
-            assert s.lambda_of(beta) == dense_lambda(s, beta)
+            assert s.lambda_of(beta) == pytest.approx(dense_lambda(s, beta), rel=1e-14, abs=0.0)

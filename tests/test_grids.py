@@ -16,6 +16,7 @@ import pytest
 
 from tcshift.errors import GridError
 from tcshift.grids import (
+    TABLE_BLOCK_BYTES,
     GridPair,
     RadialFunction,
     RadialGrid,
@@ -184,17 +185,34 @@ class TestFourier:
         assert np.max(np.abs(pair.j0[i, a] - exact)) <= bound
         assert np.max(np.abs(spherical_j0(np.outer(r, p))[i, a] - exact)) <= bound
 
-    def test_hand_built_table_is_spherical_j0_of_the_products_bitwise(self):
+    def test_hand_built_table_is_j0_to_a_few_ulps(self):
         # one-node panels: the sines come from the products themselves.  r_i p_a < 1e-4
-        # on 648 entries, a staircase in the first 40 rows and 31 columns
+        # on 648 entries, a staircase in the first 40 rows and 31 columns, where the
+        # table has no series branch: sin(x) (1/p) (1/r) keeps its relative accuracy
         rg = RadialGrid(np.geomspace(1e-4, 3.0, 60), np.full(60, 0.05), r_max=3.0)
         pg = RadialGrid(np.geomspace(1e-3, 6.0, 40), np.full(40, 0.15), r_max=6.0)
         assert np.array_equal(rg.starts, rg.nodes) and np.array_equal(rg.offsets, [0.0])
         table = GridPair(rg, pg).j0
-        reference = spherical_j0(np.outer(rg.nodes, pg.nodes))
-        assert np.array_equal(table.view(np.int64), reference.view(np.int64))
         small = np.outer(rg.nodes, pg.nodes) < 1e-4
         assert small.sum() == 648 and not small[:40, :31].all()
+        with mpmath.workdps(40):
+            exact = np.array(
+                [[float(mpmath.sin(x) / x) for x in (mpmath.fmul(r, q) for q in pg.nodes.tolist())]
+                 for r in rg.nodes.tolist()]
+            )
+        assert np.max(np.abs(table - exact)) <= 4.0 * np.finfo(float).eps
+
+    def test_table_build_frees_a_block_of_table_block_bytes(self, rgrid, pgrid):
+        # the freed block keeps glibc's mmap and trim thresholds above it (TABLE_BLOCK_BYTES)
+        GridPair(rgrid, pgrid)
+        tracemalloc.start()
+        try:
+            pair = GridPair(rgrid, pgrid)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = pair.j0.nbytes
+        assert peak - table >= TABLE_BLOCK_BYTES > current - table
 
     def test_radial_grid_is_panel_starts_plus_offsets(self, rgrid):
         x, w = gauss_legendre(16)

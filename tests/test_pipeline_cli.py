@@ -717,6 +717,7 @@ class TestCli:
         record = json.loads((tmp_path / "error.json").read_text())
         assert record == {
             "error": "DomainTooSmall",
+            "stage": "ground_state",
             "message": "bound state keeps 7.06e-04 of its mass near the box edge; "
             "enlarge domain_radius",
             "exit_code": 6,
@@ -726,6 +727,25 @@ class TestCli:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert self.run_cli("tc", "--config", str(path)) == 2
+
+    @pytest.mark.parametrize(
+        "edit, stage",
+        [
+            (lambda cfg: cfg.update(V=None), None),  # refused at load, before any stage
+            # r_max past the last node of a tabulated V
+            (lambda cfg: cfg.update(V={"family": "tabulated", "table": [[0.0, 2.0], [3.0, 0.0]]},
+                                    numerics={**cfg["numerics"], "r_max": 5.0}), "grids"),
+            (lambda cfg: cfg["V"].update(amplitude=0.4), "tc"),  # NoBracket
+            (lambda cfg: cfg["V"].update(amplitude=0.0), "tc"),  # tc requires a passing validation
+        ],
+    )
+    def test_error_record_names_the_failing_stage(self, tmp_path, edit, stage):
+        cfg = json.loads((CONFIGS / "gaussian.json").read_text())
+        edit(cfg)
+        out = tmp_path / "out"
+        code = self.run_cli("tc", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out))
+        record = json.loads((out / "error.json").read_text())
+        assert record["stage"] == stage and record["exit_code"] == code
 
     def test_sweep_verb(self, tmp_path):
         cfg_path = write_cfg(tmp_path, CFG)
