@@ -176,9 +176,7 @@ def _compress(d: np.ndarray, e: np.ndarray, j0: np.ndarray):
         B *= e
         residual, norm = frobenius(Q, B)
         if residual <= RANGE_RTOL * norm:
-            if n_s < n_r:
-                Q = np.vstack((Q, np.zeros((n_r - n_s, k))))
-            return Q, B, residual, norm
+            return np.vstack((Q, np.zeros((n_r - n_s, k)))), B, residual, norm
         k *= 2
     return np.eye(n_r, n_s), _g1_rows(d, e, j0), *frobenius()
 
