@@ -256,34 +256,18 @@ class BsSolver:
         self._weyl = 2.0 * model.V.gain * shape.norm * shape.residual
         self._lambda_cache: dict[float, float] = {}
 
-    def _factor(self, rows=slice(None)) -> np.ndarray:
-        """Rows ``rows`` of G = sqrt(g) G1."""
-        d, e = _shape_columns(self.model.V, self.grids), _momentum_columns(self.grids)
-        G = _g1_rows(d, e, self.grids.j0, rows)
-        G *= math.sqrt(self.model.V.gain)
-        return G
-
     def _chi(self, beta_or_inf: float) -> np.ndarray:
         return chi_multiplier_values(beta_or_inf, self.model.mu, self.grids.pgrid)
 
     def matrix(self, beta_or_inf: float) -> np.ndarray:
-        return sandwich(self._factor(), self._chi(beta_or_inf))
+        """The uncompressed n_r x n_r matrix G diag(chi) G^T, with G = sqrt(g) G1."""
+        d, e = _shape_columns(self.model.V, self.grids), _momentum_columns(self.grids)
+        G = _g1_rows(d, e, self.grids.j0)
+        G *= math.sqrt(self.model.V.gain)
+        return sandwich(G, self._chi(beta_or_inf))
 
-    def matrix_blocks(self, beta_or_inf: float, rows: slice, cols: slice):
-        """The blocks M[rows, cols] and M[cols, rows] of ``matrix``, from rows of G only.
-
-        As in ``sandwich``, M = (P + P^T) / 2 with P = S S^T and S = G diag(sqrt(chi)),
-        so the second block is the exact transpose of the first.
-        """
-        root = np.sqrt(self._chi(beta_or_inf))
-        S_rows, S_cols = self._factor(rows), self._factor(cols)
-        S_rows *= root
-        S_cols *= root
-        P, P_mirror = S_rows @ S_cols.T, S_cols @ S_rows.T
-        return 0.5 * (P + P_mirror.T), 0.5 * (P_mirror + P.T)
-
-    def _reduced(self, beta_or_inf: float) -> np.ndarray:
-        """The k x k matrix B diag(chi) B^T."""
+    def reduced(self, beta_or_inf: float) -> np.ndarray:
+        """The k x k matrix B diag(chi) B^T that ``lambda_of`` and ``top`` diagonalize."""
         return sandwich(self._B, self._chi(beta_or_inf))
 
     def lambda_bound(self, beta_or_inf: float) -> float:
@@ -295,7 +279,7 @@ class BsSolver:
 
         The eigenvector sign is fixed so that 4 pi int phi r^2 dr >= 0.
         """
-        vals, vecs = np.linalg.eigh(self._reduced(beta_or_inf))
+        vals, vecs = np.linalg.eigh(self.reduced(beta_or_inf))
         rgrid = self.grids.rgrid
         u = self._Q @ vecs[:, -1]
         phi = u / _measure_weights(rgrid)
@@ -312,7 +296,7 @@ class BsSolver:
     def lambda_of(self, beta_or_inf: float) -> float:
         lam = self._lambda_cache.get(beta_or_inf)
         if lam is None:
-            lam = float(np.linalg.eigvalsh(self._reduced(beta_or_inf))[-1])
+            lam = float(np.linalg.eigvalsh(self.reduced(beta_or_inf))[-1])
             self._lambda_cache[beta_or_inf] = lam
         return lam
 

@@ -70,18 +70,6 @@ class TestAssemble:
         M = solver.matrix(3.0)
         assert np.array_equal(M, M.T)
 
-    @pytest.mark.parametrize("height", [32, 100, 400])
-    def test_blocks_tile_the_matrix(self, solver, height):
-        M = solver.matrix(3.0)
-        tiled = np.empty_like(M)
-        blocks = row_blocks(len(M), height)
-        for i, rows in enumerate(blocks):
-            for cols in blocks[i:]:
-                upper, lower = solver.matrix_blocks(3.0, rows, cols)
-                assert np.array_equal(upper, lower.T)
-                tiled[rows, cols], tiled[cols, rows] = upper, lower
-        assert np.max(np.abs(tiled - M)) <= 1e-14 * np.max(np.abs(M))
-
     def test_matrix_psd(self, solver):
         vals = np.linalg.eigvalsh(solver.matrix(1.0))
         assert vals.min() > -1e-12 * vals.max()
@@ -312,6 +300,12 @@ def dense_lambda(solver, beta):
     return float(np.linalg.eigvalsh(solver.matrix(beta))[-1])
 
 
+def formed_factor(solver):
+    """The solver's uncompressed factor G = sqrt(g) G1, formed whole."""
+    d, e = bs._shape_columns(solver.model.V, solver.grids), bs._momentum_columns(solver.grids)
+    return math.sqrt(solver.model.V.gain) * bs._g1_rows(d, e, solver.grids.j0)
+
+
 class TestCompression:
     @pytest.mark.parametrize("family", ["gaussian", "exponential", "square_well"])
     def test_lambda_within_weyl_bound(self, family):
@@ -365,7 +359,7 @@ class TestCompression:
         model, num = load_config(CONFIGS / "gaussian.json")
         model = dataclasses.replace(model, V=dataclasses.replace(model.V, family=family), mu=mu)
         s = BsSolver(model, num.build_grids(model))
-        G = s._factor()
+        G = formed_factor(s)
         tol = RANGE_RTOL * np.linalg.norm(G)
         assert s.residual <= tol
         sv = np.linalg.svd(G, compute_uv=False)
@@ -427,7 +421,7 @@ class TestCompression:
         # residual is the bound on the 8 dropped rows only
         num = Numerics(n_r=RANGE_K0, n_p=RANGE_K0)
         s = BsSolver(model, num.build_grids(model))
-        G = s._factor()
+        G = formed_factor(s)
         assert s.rank == 24 and np.array_equal(s._Q, np.eye(RANGE_K0, 24))
         assert np.linalg.norm(G[24:]) <= s.residual <= 1e-16 * np.linalg.norm(G)
         for beta in (0.5, 5.0, 50.0):

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tcshift.birman_schwinger import BsSolver
 from tcshift.checks import CHECKS, _chi_quadratic_forms, rbound_minorant, run_identity_checks
 from tcshift.errors import NoBracket
 from tcshift.gl import compute_lambdas, compute_t, r_of_p
@@ -110,10 +111,43 @@ class TestBattery:
         for cid in ("kernel_symmetry", "amplitude_linearity_matrix", "t_sign_covariance"):
             assert res[cid].passed, cid
 
-    def test_block_compared_matrices_read_exactly_zero(self, results):
+    def test_compressed_matrices_read_exactly_zero(self, results):
         res = {r.id: r for r in results}
         assert res["kernel_symmetry"].measured == 0.0
         assert res["amplitude_linearity_matrix"].measured == 0.0
+
+    def test_asymmetric_reduced_matrix_trips_symmetry_only(self, artifacts, monkeypatch):
+        # one ulp up above the diagonal of every solver's k x k matrix: x4 still
+        # scales it exactly, and eigvalsh and eigh read the lower triangle only
+        reduced = BsSolver.reduced
+
+        def off_symmetric(solver, beta):
+            M = reduced(solver, beta)
+            M[0, 1] = np.nextafter(M[0, 1], np.inf)
+            return M
+
+        monkeypatch.setattr(BsSolver, "reduced", off_symmetric)
+        res = {r.id: r for r in run_identity_checks(**artifacts)}
+        assert [cid for cid, r in res.items() if not r.passed] == ["kernel_symmetry"]
+        M = reduced(artifacts["solver"], artifacts["tc"].beta_c)
+        assert res["kernel_symmetry"].measured == np.nextafter(M[0, 1], np.inf) - M[0, 1]
+
+    def test_off_scale_x4_matrix_trips_linearity_only(self, artifacts, monkeypatch):
+        # one ulp up on the diagonal of the x4 solver's k x k matrix only
+        reduced = BsSolver.reduced
+        amplitude4 = 4.0 * artifacts["model"].V.amplitude
+
+        def off_scale(solver, beta):
+            M = reduced(solver, beta)
+            if solver.model.V.amplitude == amplitude4:
+                M[0, 0] = np.nextafter(M[0, 0], np.inf)
+            return M
+
+        monkeypatch.setattr(BsSolver, "reduced", off_scale)
+        res = {r.id: r for r in run_identity_checks(**artifacts)}
+        assert [cid for cid, r in res.items() if not r.passed] == ["amplitude_linearity_matrix"]
+        m4 = 4.0 * reduced(artifacts["solver"], artifacts["tc"].beta_c)[0, 0]
+        assert res["amplitude_linearity_matrix"].measured == np.nextafter(m4, np.inf) - m4
 
     def test_probe_forms_match_the_assembled_kernel(self, grids, model):
         # the a0_two_route position side, against the kernel formed on the probe pair
@@ -134,8 +168,8 @@ class TestMinorant:
         c, e0 = rbound_minorant(pair)
         assert c > 0.0
         assert e0 > 0.0
-        # asymptotic cap: the plateau of 1 - R at one half limits c
-        assert c <= 0.5 * 1.05
+        # asymptotic cap: 1 - R(p) tends to one half, so no larger c holds for all p
+        assert c <= 0.5
 
     def test_small_p_binding(self, pair):
         # minorant <= function at the smallest sampled momentum

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from tcshift.birman_schwinger import BsSolver
 from tcshift.errors import ConfigError
@@ -177,7 +178,7 @@ class TestExternalField:
         b = W.boundary_value(coupling)
         # trapezoid on a grid through every node: exact up to O(h^2) at the zero crossings
         r = np.unique(np.concatenate([np.linspace(0.0, 40.0, 400001), [0.5, 1.0, 1.5, 2.5, 3.0, 4.0]]))
-        quadrature = np.trapezoid(r * np.maximum(b - coupling * W(r), 0.0), r)
+        quadrature = trapezoid(r * np.maximum(b - coupling * W(r), 0.0), r)
         assert W.bargmann_integral(coupling) == pytest.approx(quadrature, rel=1e-8, abs=1e-12)
 
     def test_bargmann_integral_of_a_gaussian_well(self):

@@ -41,7 +41,6 @@ CFG = {
 # battery checks that fail at CFG's n_r = n_p = 192, each with its CHANGES.md FOUND
 UNRESOLVED_AT_192 = {
     "norm_half_resolution": "reads the n = 96 re-solve's error 3.5e-8, while N is 4e-12 off",
-    "minorant_certificate": "R(p) is unresolved at p = 72.7, where the margin is -2.6e-4",
 }
 
 

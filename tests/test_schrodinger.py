@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import trapezoid
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
@@ -159,8 +160,8 @@ class TestGroundEnergy:
         for width in (0.7, 1.0, 1.5):
             u = r * np.exp(-0.5 * (r / width) ** 2)
             du = np.gradient(u, r)
-            num = np.trapezoid(du * du + W(r) * u * u, r)
-            den = np.trapezoid(u * u, r)
+            num = trapezoid(du * du + W(r) * u * u, r)
+            den = trapezoid(u * u, r)
             assert gs.e0 <= num / den + 1e-8
 
     def test_refinement_delta_reported(self):
