@@ -70,6 +70,14 @@ class TestAssemble:
         M = solver.matrix(3.0)
         assert np.array_equal(M, M.T)
 
+    @pytest.mark.parametrize("beta", [0.5, 3.0, 50.0])
+    def test_reduced_is_the_matrix_projected_on_the_range(self, solver, beta):
+        # Q^T G = B, so Q^T M Q = B diag(chi) B^T up to rounding
+        M, R = solver.matrix(beta), solver.reduced(beta)
+        assert np.array_equal(R, R.T)
+        assert np.max(np.abs(solver._Q.T @ M @ solver._Q - R)) <= 1e-12 * np.max(np.abs(M))
+        assert solver.lambda_of(beta) == float(np.linalg.eigvalsh(R)[-1])
+
     def test_matrix_psd(self, solver):
         vals = np.linalg.eigvalsh(solver.matrix(1.0))
         assert vals.min() > -1e-12 * vals.max()
