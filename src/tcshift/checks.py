@@ -58,7 +58,7 @@ from .kernels import (
 )
 from .model import Numerics, PhysicalModel
 
-__all__ = ["CheckResult", "run_identity_checks", "rbound_minorant", "CHECKS"]
+__all__ = ["CheckResult", "run_identity_checks", "rbound_minorant", "minorant_momenta", "CHECKS"]
 
 SEED = 20240811
 
@@ -158,7 +158,8 @@ CHECKS = {
         "oracle",
         ">",
         0.0,
-        "overlap minorant holds between the 200 momenta that fixed it (c={c:.4g}, E0={e0:.4g})",
+        "overlap minorant holds between the 200 momenta in [1e-3, {p_hi:.4g}] that fixed it"
+        " (c={c:.4g}, E0={e0:.4g})",
     ),
 }
 
@@ -188,16 +189,35 @@ def _fd_laplacian(beta, mu, k, h):
     )
 
 
+def minorant_momenta(pair: PairState, n_samples: int = 200) -> np.ndarray:
+    """The momenta the overlap minorant is fitted on: log-spaced in [1e-3, min(100, P_res)].
+
+    P_res = 1.5 q / h is the largest momentum at which the pair state's
+    radial grid (panels of q Gauss-Legendre nodes, the widest h wide)
+    resolves R(p).  R integrates j0(p r) over each panel, and a q-node panel
+    integrates cos(p r) to 1.6e-11 of its width at p h = 1.5 q = 24 for
+    q = 16 (6.7e-8 at 32, 2e-3 at 48).  On ``configs/gaussian.json``'s model
+    R(p) agrees with n = 1600 to 3e-11 below p h = 24 at n = 160, 208, 304
+    and 400, while past p h of about 40 it is off by up to 8e-3, far more
+    than the certificate's margin (about 1e-8).
+    """
+    grid = pair.phi_star.grid
+    width = float(np.max(np.diff(np.append(grid.starts, grid.r_max))))
+    p_res = 1.5 * len(grid.offsets) / width
+    return np.logspace(-3, math.log10(min(100.0, p_res)), n_samples)
+
+
 def rbound_minorant(pair: PairState, n_samples: int = 200) -> tuple[float, float]:
     """Certificate (c, E0) with 1 - R(p) >= c p^2 / (E0 + p^2) at every sample.
 
-    For each trial E0 the largest admissible c is the sampled minimum of
-    (1 - R)(E0 + p^2)/p^2, capped at 1/2: 1 - R(p) tends to 1/2 as p -> inf,
-    so no larger c holds past the samples.
+    The samples are ``minorant_momenta``.  For each trial E0 the largest
+    admissible c is the sampled minimum of (1 - R)(E0 + p^2)/p^2, capped at
+    1/2: 1 - R(p) tends to 1/2 as p -> inf, so no larger c holds past the
+    samples.
     Returns the smallest E0 whose c is within 0.1% of the best over the
     ladder.  Raises MinorantViolation if no positive c exists.
     """
-    p = np.logspace(-3, 2, n_samples)
+    p = minorant_momenta(pair, n_samples)
     ratios = (1.0 - r_of_p(pair, p)) / (p * p)
     ladder = np.logspace(-2, 2, 41)
     cs = [min(0.5, float(np.min(ratios * (e0 + p * p)))) for e0 in ladder]
@@ -387,7 +407,7 @@ def run_identity_checks(
     # certified at the geometric midpoints of the momenta that fixed c, where
     # the margin is not zero by construction
     c_min, e0_min = rbound_minorant(pair)
-    p_fit = np.logspace(-3, 2, 200)
+    p_fit = minorant_momenta(pair)
     p_mid = np.sqrt(p_fit[1:] * p_fit[:-1])
     margin = np.min(1.0 - r_of_p(pair, p_mid) - c_min * p_mid**2 / (e0_min + p_mid**2))
     m["minorant_certificate"] = min(c_min, float(margin))
@@ -405,7 +425,7 @@ def run_identity_checks(
         out.append(
             CheckResult(
                 id=cid,
-                description=description.format(c=c_min, e0=e0_min),
+                description=description.format(c=c_min, e0=e0_min, p_hi=p_fit[-1]),
                 measured=measured,
                 expected=expected,
                 tolerance=tol,

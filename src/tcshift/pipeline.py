@@ -11,7 +11,6 @@ unchanged.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 from datetime import datetime, timezone
@@ -55,6 +54,8 @@ SWEEP_AXES = {
 
 def config_digest(cfg: dict) -> str:
     """Order-independent digest of a parsed configuration mapping."""
+    import hashlib  # here, not at the top: it maps OpenSSL (~3.5 MB) for one small sha256
+
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 

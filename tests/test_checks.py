@@ -11,8 +11,14 @@ import numpy as np
 import pytest
 
 from tcshift.birman_schwinger import BsSolver
-from tcshift.checks import CHECKS, _chi_quadratic_forms, rbound_minorant, run_identity_checks
-from tcshift.errors import NoBracket
+from tcshift.checks import (
+    CHECKS,
+    _chi_quadratic_forms,
+    minorant_momenta,
+    rbound_minorant,
+    run_identity_checks,
+)
+from tcshift.errors import MinorantViolation, NoBracket
 from tcshift.gl import compute_lambdas, compute_t, r_of_p
 from tcshift.grids import (
     GridPair,
@@ -22,7 +28,7 @@ from tcshift.grids import (
     build_momentum_grid,
     radial_inner,
 )
-from tcshift.model import InteractionPotential
+from tcshift.model import InteractionPotential, load_config
 from tcshift.pipeline import Pipeline
 
 
@@ -163,6 +169,13 @@ class TestBattery:
         assert {r.category for r in results} <= {"closed_form", "identity", "oracle"}
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _battery(model, numerics) -> dict:
+    return {r.id: r for r in Pipeline(model, numerics).checks()}
+
+
 class TestMinorant:
     def test_certificate(self, pair):
         c, e0 = rbound_minorant(pair)
@@ -180,15 +193,45 @@ class TestMinorant:
     def test_holds_on_dense_scan(self, pair):
         # c is a minimum over the 200 fitted momenta, so it is tested between them
         c, e0 = rbound_minorant(pair)
-        p_fit = np.logspace(-3, 2, 200)
+        p_fit = minorant_momenta(pair)
         p = np.sqrt(p_fit[1:] * p_fit[:-1])
         lhs = 1.0 - r_of_p(pair, p)
         rhs = c * p * p / (e0 + p * p)
         assert np.all(lhs > rhs)
 
+    def test_window_ends_where_the_radial_panels_resolve(self, pair):
+        # 25 panels of 16 nodes on [0, 12]: P_res = 1.5 * 16 / 0.48 = 50
+        p = minorant_momenta(pair)
+        assert (len(p), p[0]) == (200, pytest.approx(1e-3))
+        assert p[-1] == pytest.approx(50.0)
 
-def _battery(model, numerics) -> dict:
-    return {r.id: r for r in Pipeline(model, numerics).checks()}
+    @pytest.mark.parametrize(
+        "config, V, n",
+        [("gaussian.json", None, n) for n in range(160, 417, 16)]
+        + [("square_well_1d.json", None, n) for n in (176, 208, 224, 288, 304)]
+        + [("gaussian.json", InteractionPotential("square_well", 2.0, 1.0), 192)],
+        ids=lambda v: getattr(v, "family", str(v)),
+    )
+    def test_certified_at_every_resolution(self, config, V, n):
+        # with the window reaching p = 100 the certificate read about -1e-3 at
+        # gaussian.json's n = 208, 288 and 304, square_well_1d.json's 176, 208,
+        # 224, 288 and 304 and square-well V's 192: R(p) was quadrature noise there
+        model, numerics = load_config(CONFIGS / config)
+        if V is not None:
+            model = dataclasses.replace(model, V=V)
+        res = _battery(model, dataclasses.replace(numerics, n_r=n, n_p=n))
+        cert = res["minorant_certificate"]
+        assert cert.passed and 0.0 < cert.measured < 1e-6
+
+    def test_norm_excess_inside_the_window_fails(self, artifacts, pair):
+        # R(0) = (1 + 1e-6)^2 > 1, and R(p) > 1 up to p of about 5e-3: no c > 0
+        # holds at the first fitted momenta, so verify exits with MinorantViolation
+        corrupt = dataclasses.replace(
+            pair, phi_star=RadialFunction(pair.phi_star.grid, (1.0 + 1e-6) * pair.phi_star.values)
+        )
+        assert r_of_p(corrupt, minorant_momenta(corrupt)[3]) > 1.0
+        with pytest.raises(MinorantViolation):
+            run_identity_checks(**{**artifacts, "pair_top": (corrupt, artifacts["pair_top"][1])})
 
 
 class TestHalfResolution:
@@ -196,10 +239,7 @@ class TestHalfResolution:
 
     @pytest.mark.parametrize("config", ["gaussian.json", "square_well_1d.json"])
     def test_resolved_on_shipped_configs(self, config):
-        from tcshift.model import load_config
-
-        path = Path(__file__).resolve().parents[1] / "configs" / config
-        res = _battery(*load_config(path))
+        res = _battery(*load_config(CONFIGS / config))
         assert [cid for cid, r in res.items() if not r.passed] == []
         assert res["kernel_symmetry"].measured == res["amplitude_linearity_matrix"].measured == 0.0
         assert res["norm_half_resolution"].measured <= 1e-10

@@ -2,6 +2,7 @@
 identities, overlap asymptotics.  These are the checks that tie the
 momentum-space formulas to the operator they came from."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,8 @@ from tcshift.grids import (
     spherical_j0,
 )
 from tcshift.kernels import chi, hessian_L_closed
+from tcshift.model import InteractionPotential, Numerics
+from tcshift.pipeline import Pipeline
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +91,54 @@ class TestLambdas:
         )
         with pytest.raises(PositivityViolation):
             compute_lambdas(zero, tc, model.mu, spectral_top.gap)
+
+
+WEAK_COUPLING_LIMIT = 7.0 * 1.2020569031595942 / (12.0 * math.pi**2)  # 7 zeta(3) / (12 pi^2)
+
+
+class TestWeakCouplingLimit:
+    """(lambda0/lambda2) T_c^2 / mu tends to 7 zeta(3) / (12 pi^2) = 0.0710464 for every V.
+
+    Units hbar = 2m = 1: a particle of momentum p has energy p^2 - mu, so
+    the Fermi velocity is v_F = 2 sqrt(mu).  A pair of total momentum q has
+    members at p + q/2 and -p + q/2, with energies xi_+- = xi +- v_F.q/2 near
+    the Fermi sphere (xi = p^2 - mu).  In the weak-coupling limit the pair
+    susceptibility comes from the thermal shell |xi| ~ T, where V is constant
+    on the scale of T/v_F, so per unit density of states at the Fermi level
+    it is 2 pi T sum over omega_n > 0 of the angle average of
+    1 / (omega_n + (v_F.q/2)^2 / omega_n), with omega_n = (2n + 1) pi T.  To
+    order q^2 it drops by 2 pi T (v_F^2 q^2 / 12) sum_n omega_n^-3 =
+    7 zeta(3) v_F^2 q^2 / (48 pi^2 T^2), using sum_n (2n + 1)^-3 = 7 zeta(3) / 8.
+    Its q = 0 value falls by d ln T, so the critical temperature of the
+    pair obeys T_c(q) = T_c (1 - (lambda0/lambda2) q^2) with
+    lambda0/lambda2 = 7 zeta(3) v_F^2 / (48 pi^2 T_c^2) = 7 zeta(3) mu / (12 pi^2 T_c^2),
+    which is Gor'kov's coherence length of the clean BCS Ginzburg-Landau theory.
+
+    Measured at n = 400 the ratio is within 3.7e-6 of the limit on the
+    models below (T_c/mu from 1.6e-4 to 9.3e-4).  Above T_c/mu of about 1e-3
+    the (T_c/mu)^2 correction shows (1e-5 at 1.6e-3); below about 1e-4 the
+    momentum grid does not resolve the Fermi layer (gaussian mu = 1, a = 0.5
+    reads +7.5e-4, exponential mu = 2, a = 0.4 reads -41 %).
+    """
+
+    @pytest.mark.parametrize(
+        "family, mu, amplitude",
+        [
+            ("gaussian", 1.0, 0.6),
+            ("gaussian", 1.0, 0.7),
+            ("gaussian", 2.0, 0.7),
+            ("gaussian", 2.0, 0.8),
+            ("exponential", 1.0, 0.5),
+            ("exponential", 2.0, 0.6),
+            ("exponential", 2.0, 0.7),
+        ],
+    )
+    def test_ratio_reaches_the_bcs_limit(self, model, family, mu, amplitude):
+        weak = dataclasses.replace(model, V=InteractionPotential(family, amplitude, 1.0), mu=mu)
+        gl = Pipeline(weak, Numerics(n_r=400, n_p=400)).gl()
+        assert 1.5e-4 <= gl.T_c / mu <= 1e-3
+        ratio = gl.lambda0 / gl.lambda2 * gl.T_c**2 / mu
+        assert ratio == pytest.approx(WEAK_COUPLING_LIMIT, rel=1e-5)
 
 
 class TestAFunctionals:

@@ -2,6 +2,7 @@
 serialization round-trips, exit codes."""
 
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
@@ -107,6 +108,30 @@ class TestDigest:
             for path in (CONFIGS / "gaussian.json", CONFIGS / "square_well_1d.json")
         }
         assert len(digests) == 2 and config_digest({}) not in digests
+
+    def test_only_a_written_digest_loads_hashlib(self):
+        # hashlib maps OpenSSL, about 3.5 MB of RSS; sweeps and field scans hash nothing
+        script = (
+            "import json, sys\n"
+            "from tcshift.model import ExternalField, model_from_dict\n"
+            "from tcshift.pipeline import Pipeline, sweep\n"
+            f"cfg = json.loads({json.dumps(CFG)!r})\n"
+            "rows = sweep(cfg, 'mu', [0.9, 1.2]) + sweep(cfg, 'v_amplitude', [2.0, 2.5])\n"
+            "base = Pipeline(*model_from_dict(cfg), cfg)\n"
+            "base.with_field(ExternalField('gaussian_well', -4.0, 2.0)).shift()\n"
+            "names = ('hashlib', '_hashlib')\n"
+            "before = [name in sys.modules for name in names]\n"
+            "digest = base.bundle('validate')[0]['manifest']['config_digest']\n"
+            "after = [name in sys.modules for name in names]\n"
+            "print(json.dumps([[r['error'] for r in rows], before, after, digest]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        row_errors, before, after, digest = json.loads(proc.stdout.splitlines()[-1])
+        assert row_errors == [""] * 4
+        assert before == [False, False] and after == [True, True]
+        canonical = json.dumps(CFG, sort_keys=True, separators=(",", ":"))
+        assert digest == hashlib.sha256(canonical.encode()).hexdigest()
 
 
 class TestPipeline:
