@@ -189,8 +189,8 @@ def _fd_laplacian(beta, mu, k, h):
     )
 
 
-def minorant_momenta(pair: PairState, n_samples: int = 200) -> np.ndarray:
-    """The momenta the overlap minorant is fitted on: log-spaced in [1e-3, min(100, P_res)].
+def minorant_momenta(pair: PairState) -> np.ndarray:
+    """The 200 momenta the overlap minorant is fitted on: log-spaced in [1e-3, min(100, P_res)].
 
     P_res = 1.5 q / h is the largest momentum at which the pair state's
     radial grid (panels of q Gauss-Legendre nodes, the widest h wide)
@@ -204,10 +204,10 @@ def minorant_momenta(pair: PairState, n_samples: int = 200) -> np.ndarray:
     grid = pair.phi_star.grid
     width = float(np.max(np.diff(np.append(grid.starts, grid.r_max))))
     p_res = 1.5 * len(grid.offsets) / width
-    return np.logspace(-3, math.log10(min(100.0, p_res)), n_samples)
+    return np.logspace(-3, math.log10(min(100.0, p_res)), 200)
 
 
-def rbound_minorant(pair: PairState, n_samples: int = 200) -> tuple[float, float]:
+def rbound_minorant(pair: PairState) -> tuple[float, float]:
     """Certificate (c, E0) with 1 - R(p) >= c p^2 / (E0 + p^2) at every sample.
 
     The samples are ``minorant_momenta``.  For each trial E0 the largest
@@ -217,7 +217,7 @@ def rbound_minorant(pair: PairState, n_samples: int = 200) -> tuple[float, float
     Returns the smallest E0 whose c is within 0.1% of the best over the
     ladder.  Raises MinorantViolation if no positive c exists.
     """
-    p = minorant_momenta(pair, n_samples)
+    p = minorant_momenta(pair)
     ratios = (1.0 - r_of_p(pair, p)) / (p * p)
     ladder = np.logspace(-2, 2, 41)
     cs = [min(0.5, float(np.min(ratios * (e0 + p * p)))) for e0 in ladder]

@@ -18,7 +18,7 @@ from tcshift.checks import (
     rbound_minorant,
     run_identity_checks,
 )
-from tcshift.errors import MinorantViolation, NoBracket
+from tcshift.errors import NoBracket
 from tcshift.gl import compute_lambdas, compute_t, r_of_p
 from tcshift.grids import (
     GridPair,
@@ -191,9 +191,10 @@ class TestMinorant:
         assert c * p0 * p0 / (e0 + p0 * p0) <= 1.0 - r_of_p(pair, p0)
 
     def test_holds_on_dense_scan(self, pair):
-        # c is a minimum over the 200 fitted momenta, so it is tested between them
+        # c is a minimum over the 200 fitted momenta in [1e-3, 50], so it is tested
+        # between other momenta, out to p = 100, which the n = 400 grid still resolves
         c, e0 = rbound_minorant(pair)
-        p_fit = minorant_momenta(pair)
+        p_fit = np.logspace(-3, 2, 200)
         p = np.sqrt(p_fit[1:] * p_fit[:-1])
         lhs = 1.0 - r_of_p(pair, p)
         rhs = c * p * p / (e0 + p * p)
@@ -223,15 +224,27 @@ class TestMinorant:
         cert = res["minorant_certificate"]
         assert cert.passed and 0.0 < cert.measured < 1e-6
 
-    def test_norm_excess_inside_the_window_fails(self, artifacts, pair):
-        # R(0) = (1 + 1e-6)^2 > 1, and R(p) > 1 up to p of about 5e-3: no c > 0
-        # holds at the first fitted momenta, so verify exits with MinorantViolation
-        corrupt = dataclasses.replace(
-            pair, phi_star=RadialFunction(pair.phi_star.grid, (1.0 + 1e-6) * pair.phi_star.values)
-        )
-        assert r_of_p(corrupt, minorant_momenta(corrupt)[3]) > 1.0
-        with pytest.raises(MinorantViolation):
-            run_identity_checks(**{**artifacts, "pair_top": (corrupt, artifacts["pair_top"][1])})
+    def test_violation_between_fitted_momenta_is_recorded(self, artifacts, pair):
+        # 5 % of the pair density moved onto the node nearest r = 11.46 puts an
+        # interior minimum into (1 - R)(E0 + p^2)/p^2 near p = 1.27: c > 0 holds at
+        # every fitted momentum, but the ratio dips below it between two of them
+        grid = pair.phi_star.grid
+        i = int(np.argmin(abs(grid.nodes - 11.46)))
+        dens = 4.0 * math.pi * grid.weights[i] * grid.nodes[i] ** 2
+        values = math.sqrt(0.95) * pair.phi_star.values
+        values[i] = math.sqrt(values[i] ** 2 + 0.05 / dens)
+        corrupt = dataclasses.replace(pair, phi_star=RadialFunction(grid, values))
+        c, e0 = rbound_minorant(corrupt)
+        p_fit = minorant_momenta(corrupt)
+        p_mid = np.sqrt(p_fit[1:] * p_fit[:-1])
+        margin = 1.0 - r_of_p(corrupt, p_mid) - c * p_mid**2 / (e0 + p_mid**2)
+        assert 0.0 < c < 0.5
+        assert np.all(1.0 - r_of_p(corrupt, p_fit) >= c * p_fit**2 / (e0 + p_fit**2) - 1e-14)
+        assert margin.min() < -1e-5 and p_mid[np.argmin(margin)] < p_fit[-1] / 10
+        top = artifacts["pair_top"][1]
+        res = {r.id: r for r in run_identity_checks(**{**artifacts, "pair_top": (corrupt, top)})}
+        cert = res["minorant_certificate"]
+        assert not cert.passed and cert.measured == pytest.approx(margin.min(), rel=1e-12)
 
 
 class TestHalfResolution:

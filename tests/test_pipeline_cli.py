@@ -110,26 +110,31 @@ class TestDigest:
         assert len(digests) == 2 and config_digest({}) not in digests
 
     def test_only_a_written_digest_loads_hashlib(self):
-        # hashlib maps OpenSSL, about 3.5 MB of RSS; sweeps and field scans hash nothing
+        # hashlib maps OpenSSL, about 3.5 MB of RSS; sweeps and field scans hash
+        # nothing. numpy < 2 loads it itself (numpy.random -> secrets -> hmac), so
+        # the probe records what is loaded after ``import numpy``
         script = (
             "import json, sys\n"
+            "import numpy\n"
+            "names = ('hashlib', '_hashlib')\n"
+            "loaded = lambda: [name in sys.modules for name in names]\n"
+            "with_numpy = loaded()\n"
             "from tcshift.model import ExternalField, model_from_dict\n"
             "from tcshift.pipeline import Pipeline, sweep\n"
             f"cfg = json.loads({json.dumps(CFG)!r})\n"
             "rows = sweep(cfg, 'mu', [0.9, 1.2]) + sweep(cfg, 'v_amplitude', [2.0, 2.5])\n"
             "base = Pipeline(*model_from_dict(cfg), cfg)\n"
             "base.with_field(ExternalField('gaussian_well', -4.0, 2.0)).shift()\n"
-            "names = ('hashlib', '_hashlib')\n"
-            "before = [name in sys.modules for name in names]\n"
+            "before = loaded()\n"
             "digest = base.bundle('validate')[0]['manifest']['config_digest']\n"
-            "after = [name in sys.modules for name in names]\n"
-            "print(json.dumps([[r['error'] for r in rows], before, after, digest]))\n"
+            "errors = [r['error'] for r in rows]\n"
+            "print(json.dumps([errors, with_numpy, before, loaded(), digest]))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        row_errors, before, after, digest = json.loads(proc.stdout.splitlines()[-1])
+        row_errors, with_numpy, before, after, digest = json.loads(proc.stdout.splitlines()[-1])
         assert row_errors == [""] * 4
-        assert before == [False, False] and after == [True, True]
+        assert before == with_numpy and after == [True, True]
         canonical = json.dumps(CFG, sort_keys=True, separators=(",", ":"))
         assert digest == hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -923,21 +928,25 @@ class TestCli:
         assert json.loads(proc.stdout.splitlines()[-1]) == expected
 
     def test_no_verb_loads_numpy_random(self, tmp_path):
-        # the range finder and the battery draw from the standard library's random
+        # the range finder and the battery draw from the standard library's random;
+        # numpy < 2 imports numpy.random itself, so the probe compares with ``import numpy``
         cfg_path = write_cfg(tmp_path, CFG)
         script = (
             "import json, sys\n"
+            "import numpy\n"
+            "with_numpy = 'numpy.random' in sys.modules\n"
             "from tcshift.cli import main\n"
             f"common = ['--config', {str(cfg_path)!r}, '--out', {str(tmp_path / 'out')!r}]\n"
             f"codes = [main([verb, *common]) for verb in {list(VERBS)!r}]\n"
             "codes.append(main(['sweep', *common, '--sweep-axis', 'mu', '--sweep-values', '1.0,1.2']))\n"
-            "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n"
+            "print(json.dumps([codes, with_numpy, 'numpy.random' in sys.modules]))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         # verify exits 1 on the checks of UNRESOLVED_AT_192
         codes = [int(verb == "verify") for verb in VERBS] + [0]
-        assert json.loads(proc.stdout.splitlines()[-1]) == [codes, False]
+        got, with_numpy, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert got == codes and loaded == with_numpy
 
     def test_console_entry_point(self, tmp_path):
         cfg_path = write_cfg(tmp_path, CFG)
