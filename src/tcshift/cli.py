@@ -112,10 +112,6 @@ def main(argv=None) -> int:
             raise ConfigError(f"threads must be at least 1, not {args.threads}")
         if args.verb == "sweep":
             values = [v for v in args.sweep_values.split(",") if v.strip()]
-            try:
-                values = [float(v) for v in values]
-            except ValueError as exc:
-                raise ConfigError(f"bad sweep value: {exc}") from exc
             rows = sweep(cfg, args.sweep_axis, values, threads=args.threads)
             out_dir.mkdir(parents=True, exist_ok=True)
             path = out_dir / "sweep.csv"

@@ -51,9 +51,5 @@ class ZeroNormError(ToolError):
     exit_code = 9
 
 
-class MinorantViolation(ToolError):
-    exit_code = 10
-
-
 class ConvergenceError(ToolError):
     exit_code = 11

@@ -72,8 +72,6 @@ class AFunctionals:
     a0: float
     a1: float
     a2: float
-    T: float
-    tau_hat: RadialFunction
 
 
 def compute_t(pair: PairState, tc: CriticalTemperature, model, grids: GridPair) -> TProfile:
@@ -141,7 +139,7 @@ def a_functionals(tau_hat: RadialFunction, T: float, mu: float) -> AFunctionals:
     a0 = b * np.sum(meas * g0(z))
     a1 = -(b * b / 4.0) * np.sum(meas * (g1(z) + (2.0 / 3.0) * b * p * p * g2(z)))
     a2 = -(b * b) * np.sum(meas * g1(z))
-    return AFunctionals(a0=float(a0), a1=float(a1), a2=float(a2), T=T, tau_hat=tau_hat)
+    return AFunctionals(a0=float(a0), a1=float(a1), a2=float(a2))
 
 
 def tau_hat_from_t(t: TProfile) -> RadialFunction:

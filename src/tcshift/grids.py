@@ -31,7 +31,6 @@ __all__ = [
     "radial_inner",
     "assemble_chi_kernel",
     "apply_kernel",
-    "apply_chi_kernel",
     "row_blocks",
 ]
 
@@ -311,8 +310,7 @@ def assemble_chi_kernel(beta_or_inf: float, mu: float, grids: GridPair) -> np.nd
     k(r, r') = (2/pi) int_0^inf chi(p^2 - mu) j0(p r) j0(p r') p^2 dp, the
     operator acting as (Af)(r) = int k(r, r') f(r') r'^2 dr'.  Assembled as
     ``sandwich(j0, (2/pi) w p^2 chi)`` with chi > 0, so the result is exactly
-    symmetric and positive semidefinite up to rounding.  An n_r x n_r matrix:
-    ``apply_chi_kernel`` applies it without forming it.
+    symmetric and positive semidefinite up to rounding.
     """
     return sandwich(grids.j0, chi_kernel_weights(beta_or_inf, mu, grids.pgrid))
 
@@ -322,16 +320,3 @@ def apply_kernel(kernel: np.ndarray, f: RadialFunction) -> RadialFunction:
     r, w = f.grid.nodes, f.grid.weights
     return RadialFunction(grid=f.grid, values=kernel @ (w * r * r * f.values))
 
-
-def apply_chi_kernel(beta_or_inf: float, mu: float, grids: GridPair, f: RadialFunction):
-    """``apply_kernel(assemble_chi_kernel(beta_or_inf, mu, grids), f)`` as two table matvecs.
-
-    k = j0 diag(c) j0^T with c from ``chi_kernel_weights``, so the kernel is
-    applied as j0 (c * (j0^T v)) and never formed.
-    """
-    if f.grid is not grids.rgrid:
-        raise GridError("the chi kernel acts on the radial grid of the pair")
-    r, w = f.grid.nodes, f.grid.weights
-    c = chi_kernel_weights(beta_or_inf, mu, grids.pgrid)
-    values = grids.j0 @ (c * (grids.j0.T @ (w * r * r * f.values)))
-    return RadialFunction(grid=f.grid, values=values)

@@ -243,25 +243,17 @@ def hessian_L_closed(beta, mu, k):
     return out if out.ndim else float(out)
 
 
-def matsubara_tanh(z, n_max: int, pole_tol: float = 1e-8):
-    """Symmetric partial sum of the pole expansion of tanh.
+def matsubara_tanh(x: float, n_max: int) -> float:
+    """Symmetric partial sum of the pole expansion of tanh at real x.
 
-    Sums 1/(z - i(n+1/2)pi) over n = -n_max .. n_max-1, accumulating each n
-    together with its mirror -(n+1); the paired term is 2z/(z^2 + ((n+1/2)pi)^2).
+    Sums 1/(x - i(n+1/2)pi) over n = -n_max .. n_max-1, accumulating each n
+    together with its mirror -(n+1); the paired term is 2x/(x^2 + ((n+1/2)pi)^2).
     Unpaired accumulation would not converge.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    zc = complex(z)
+    x = float(x)
     omegas = (np.arange(n_max) + 0.5) * np.pi
-    if zc.imag != 0.0:
-        m = round(zc.imag / np.pi - 0.5)
-        dist = math.hypot(zc.real, zc.imag - (m + 0.5) * np.pi)
-        if dist < pole_tol:
-            raise ValueError(f"argument within {pole_tol} of a pole of tanh")
-        total = np.sum(2.0 * zc / (zc * zc + omegas**2))
-        return complex(total)
-    x = float(zc.real)
     return float(np.sum(2.0 * x / (x * x + omegas**2)))
 
 

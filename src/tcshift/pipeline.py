@@ -329,12 +329,16 @@ def sweep(cfg: dict, axis: str, values, threads: int = 1) -> list[dict]:
     """One row per axis value; per-point failures land in the error column.
 
     Every point is ``base.derive`` of the configured model, so a stage is
-    recomputed only when the swept field reaches it in ``STAGES``.
+    recomputed only when the swept field reaches it in ``STAGES``.  Values
+    are numbers or numeric strings; any other raises ConfigError.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose one of {tuple(SWEEP_AXES)}")
     field_name, field_value = SWEEP_AXES[axis]
-    values = [float(v) for v in values]
+    try:
+        values = [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sweep value: {exc}") from exc
     if not values:
         raise ConfigError("sweep needs at least one value")
     for v in values:

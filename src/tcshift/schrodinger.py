@@ -159,6 +159,9 @@ def _potential_on_axis(prob: EffectiveProblem, x: np.ndarray, h: float) -> np.nd
 # and the same quantity pads the positive-definiteness certificate for the
 # rounding of the residual and of the LDL^T factorization.
 RESIDUAL_C = 16.0
+# The ladder stops once a level's n-to-2n change is below REL_TOL * max(1, |e0|),
+# and reports a bound state only when e0 lies that far below the continuum bottom.
+REL_TOL = 1e-6
 MAX_SOLVES = 6  # shifted tridiagonal solves per level before the bisection fallback
 # The first ladder level starts from a pre-level of
 # max(n_points // PRE_LEVEL_DIVISOR, PRE_LEVEL_MIN_NODES) nodes, the only solve
@@ -360,7 +363,7 @@ def _solve_at_resolution(prob: EffectiveProblem, n: int, coarse: _Level | None =
     return _Level(*level, n=n, u_min=float(u_pot.min()))
 
 
-def ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGroundState:
+def ground_energy(prob: EffectiveProblem) -> EffectiveGroundState:
     """inf spec(p^2 + coupling * W): exactly b when no bound state can exist, else the ladder.
 
     b is the bottom of the essential spectrum (``prob.essential_bottom``), so
@@ -385,7 +388,7 @@ def ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGro
         if integral < 1.0:
             certificate = "bargmann"
     if certificate is None:
-        return ladder_ground_energy(prob, rel_tol)
+        return ladder_ground_energy(prob)
     return EffectiveGroundState(
         e0=b,
         bound_state=False,
@@ -404,14 +407,14 @@ def ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGro
     )
 
 
-def ladder_ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> EffectiveGroundState:
+def ladder_ground_energy(prob: EffectiveProblem) -> EffectiveGroundState:
     """Estimate inf spec by Dirichlet finite differences plus the continuum bottom.
 
     The reported energy is min(lowest box eigenvalue, b) where b, the bottom
     of the essential spectrum, is the lower limit of coupling * W at
     infinity.  The box eigenvalue is Richardson-extrapolated from two
     resolutions; resolution doubles from ``n_points`` until the observed
-    n-to-2n change is below rel_tol.  Each level starts from the one before
+    n-to-2n change is below REL_TOL.  Each level starts from the one before
     it, and the first from a pre-level of
     max(n_points // PRE_LEVEL_DIVISOR, PRE_LEVEL_MIN_NODES) nodes, the only
     solve that starts by bisection (see
@@ -436,7 +439,7 @@ def ladder_ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> Effec
         solves += fine.solves
         delta = abs(fine.ev - coarse.ev)
         extrapolated = fine.ev + (fine.ev - coarse.ev) / 3.0  # second-order scheme
-        if delta < rel_tol * max(1.0, abs(extrapolated)):
+        if delta < REL_TOL * max(1.0, abs(extrapolated)):
             break
         n *= 2
         coarse = fine
@@ -445,7 +448,7 @@ def ladder_ground_energy(prob: EffectiveProblem, rel_tol: float = 1e-6) -> Effec
             f"ground energy not converged: last n-to-2n change {delta:.3e}"
         )
 
-    bound = extrapolated < b - rel_tol * max(1.0, abs(b))
+    bound = extrapolated < b - REL_TOL * max(1.0, abs(b))
     if bound:
         mass = fine.vec * fine.vec
         x = _axis(prob, fine.n)[1]

@@ -20,7 +20,6 @@ from tcshift.grids import (
     GridPair,
     RadialFunction,
     RadialGrid,
-    apply_chi_kernel,
     apply_kernel,
     assemble_chi_kernel,
     build_momentum_grid,
@@ -31,6 +30,7 @@ from tcshift.grids import (
     radial_inner,
     spherical_j0,
 )
+from tcshift.kernels import chi
 from tcshift.model import load_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -315,21 +315,22 @@ class TestChiKernel:
         f = RadialFunction(rgrid, np.exp(-0.5 * rgrid.nodes**2))
         via_kernel = apply_kernel(K, f)
         fhat = ft3_radial(f, grids)
-        from tcshift.kernels import chi
-
         mult = RadialFunction(pg, chi(1.5, pg.nodes**2 - 1.0) * fhat.values)
         via_fourier = ft3_radial(mult, grids)
         assert np.max(np.abs(via_kernel.values - via_fourier.values)) < 1e-9
 
     @pytest.mark.parametrize("beta", [0.5, 2.0, 40.0])
     def test_applied_without_assembly(self, rgrid, grids, beta):
+        # the route bs_round_trip takes: to momentum space, times chi, and back
         f = RadialFunction(rgrid, np.exp(-0.5 * rgrid.nodes**2) * (1 + rgrid.nodes))
         dense = apply_kernel(assemble_chi_kernel(beta, 1.0, grids), f).values
-        applied = apply_chi_kernel(beta, 1.0, grids, f)
+        fhat = ft3_radial(f, grids)
+        mult = RadialFunction(fhat.grid, chi(beta, fhat.grid.nodes**2 - 1.0) * fhat.values)
+        applied = ft3_radial(mult, grids)
         assert applied.grid is rgrid
         assert np.max(np.abs(applied.values - dense)) <= 1e-13 * np.max(np.abs(dense))
         with pytest.raises(GridError):
-            apply_chi_kernel(beta, 1.0, grids, ft3_radial(f, grids))
+            ft3_radial(f, GridPair(build_radial_grid(12.0, 96), grids.pgrid))
 
     def test_inf_requires_guard(self, rgrid, grids):
         # 1/(p^2 - mu) is singular on the sphere p^2 = mu > 0 and finite for mu <= 0

@@ -280,16 +280,6 @@ class TestMatsubaraTanh:
         e2 = abs(matsubara_tanh(z, 40000) - math.tanh(z))
         assert e1 / e2 == pytest.approx(2.0, rel=0.2)
 
-    def test_complex_argument(self):
-        z = 0.5 + 0.3j
-        approx = matsubara_tanh(z, 10**5)
-        ref = np.tanh(z)
-        assert abs(approx - ref) < 1e-4
-
-    def test_pole_proximity_raises(self):
-        with pytest.raises(ValueError):
-            matsubara_tanh(1j * (math.pi / 2) + 1e-12, 100)
-
     def test_rejects_bad_truncation(self):
         with pytest.raises(ValueError):
             matsubara_tanh(1.0, 0)

@@ -368,6 +368,11 @@ class TestSweep:
         assert rows[1]["error"] != ""
         assert math.isnan(rows[1]["beta_c"])
 
+    @pytest.mark.parametrize("bad", ["x", None])
+    def test_non_numeric_value_is_a_config_error(self, bad):
+        with pytest.raises(ConfigError, match="bad sweep value"):
+            sweep(CFG, "mu", [1.0, bad])
+
     def test_mu_sweep_smooth(self):
         rows = sweep(CFG, "mu", [0.9, 1.0, 1.1])
         bcs = [r["beta_c"] for r in rows]
@@ -814,6 +819,7 @@ class TestCli:
         "extra",
         [
             ("--sweep-values", ","),
+            ("--sweep-values", "abc"),
             ("--sweep-values", "0.01", "--threads", "0"),
             ("--sweep-values", "0.01", "--threads", "-3"),
         ],
