@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionViolation, NoBracket, NonMonotone
+from .errors import AssumptionViolation, GridError, NoBracket, NonMonotone
 from .grids import (
     GridPair,
     RadialFunction,
@@ -109,19 +109,10 @@ def _g1_rows(d: np.ndarray, e: np.ndarray, j0: np.ndarray, rows=slice(None)) -> 
 
 @functools.lru_cache(maxsize=8)
 def _test_matrix(n_p: int, k: int) -> np.ndarray:
-    """The n_p x k Gaussian test matrix of ``_compress``, drawn once per process.
-
-    It is the draw of ``random.Random(0)``'s stream that follows those of
-    RANGE_K0, 2 RANGE_K0, ..., k / 2 columns, as a compression that doubles
-    its columns up to k draws them; the cached array is shared, so it is
-    read-only.
+    """The n_p x k Gaussian test matrix of ``_compress``, drawn from ``random.Random(0)``
+    once per process; the cached array is shared, so it is read-only.
     """
-    rng = random.Random(0)
-    columns = RANGE_K0
-    omega = _standard_normal(rng, (n_p, columns))
-    while columns < k:
-        columns *= 2
-        omega = _standard_normal(rng, (n_p, columns))
+    omega = _standard_normal(random.Random(0), (n_p, k))
     omega.flags.writeable = False
     return omega
 
@@ -203,7 +194,11 @@ def _shape_columns(V, grids: GridPair) -> np.ndarray:
 
 def _momentum_columns(grids: GridPair) -> np.ndarray:
     p, wp = grids.pgrid.nodes, grids.pgrid.weights
-    return np.sqrt((2.0 / math.pi) * wp * p * p)
+    with np.errstate(over="ignore"):
+        e = np.sqrt((2.0 / math.pi) * wp * p * p)
+    if not np.all(np.isfinite(e)):
+        raise GridError(f"the momentum measure (2/pi) w p^2 overflows at p_max = {grids.pgrid.r_max:g}")
+    return e
 
 
 def _shape_factor(V, grids: GridPair) -> ShapeFactor:

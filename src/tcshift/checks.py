@@ -209,13 +209,29 @@ def minorant_momenta(pair: PairState) -> np.ndarray:
     return np.logspace(-3, math.log10(min(100.0, _p_res(pair))), 200)
 
 
+def _vertex_min(y: np.ndarray) -> float:
+    """The lower of min(y) and the vertex of the parabola through the argmin and its neighbours.
+
+    y is sampled at equal steps; the vertex lies within half a step of the
+    argmin.
+    """
+    i = int(np.argmin(y))
+    low = float(y[i])
+    if 0 < i < len(y) - 1:
+        slope, curvature = (y[i + 1] - y[i - 1]) / 2.0, (y[i + 1] - 2.0 * y[i] + y[i - 1]) / 2.0
+        if curvature > 0.0:
+            low -= float(slope * slope / (4.0 * curvature))
+    return low
+
+
 def rbound_minorant(pair: PairState) -> tuple[float, float]:
     """Certificate (c, E0) with 1 - R(p) >= c p^2 / (E0 + p^2) at every sample.
 
     The samples are ``minorant_momenta``.  For each trial E0 the largest
-    admissible c is the sampled minimum of (1 - R)(E0 + p^2)/p^2, capped at
-    1/2: 1 - R(p) tends to 1/2 as p -> inf, so no larger c holds past the
-    samples.
+    admissible c is the minimum of (1 - R)(E0 + p^2)/p^2, capped at 1/2:
+    1 - R(p) tends to 1/2 as p -> inf, so no larger c holds past the
+    samples.  A minimum between two samples is read off the parabola in
+    ln p through the sampled minimum and its neighbours (``_vertex_min``).
     Returns the smallest E0 whose c is within 0.1% of the best over the
     ladder.  A best c <= 0 is returned as it is: no minorant holds, and
     the battery records that as a failed ``minorant_certificate``.
@@ -223,7 +239,7 @@ def rbound_minorant(pair: PairState) -> tuple[float, float]:
     p = minorant_momenta(pair)
     ratios = (1.0 - r_of_p(pair, p)) / (p * p)
     ladder = np.logspace(-2, 2, 41)
-    cs = [min(0.5, float(np.min(ratios * (e0 + p * p)))) for e0 in ladder]
+    cs = [min(0.5, _vertex_min(ratios * (e0 + p * p))) for e0 in ladder]
     best_c = max(cs)
     threshold = best_c - 1e-3 * abs(best_c)
     return next((c, float(e0)) for e0, c in zip(ladder, cs) if c >= threshold)

@@ -60,30 +60,31 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _tc(model, numerics, solver, validation):
+    """beta_c from the production solver, for a model whose validation passed."""
+    if not validation.passed:
+        failed = [i.name for i in validation.items if not i.passed]
+        raise AssumptionViolation(f"model validation failed: {', '.join(failed)}")
+    return solver.solve_beta_c(numerics.beta_bracket, numerics.beta_c_rel_tol)
+
+
 # Each stage: the PhysicalModel fields it reads, the stages it uses and its
 # builder, called as ``build(model, numerics, *uses)`` with the value of each
 # used stage in order, so a stage sees no stage it does not declare.  Entries
-# come after every stage they use.  ``validation`` is a precondition that
-# ``tc`` checks, not an input, so a new W keeps the coefficients (W enters
-# only the effective operator p^2 + (lambda1/lambda0) W).  ``V.shape`` is V
-# but for its gain: a change that moves only the amplitude of a parametric V
-# is ``V.amplitude``, which reaches the readers of ``V`` but not those of
-# ``V.shape`` (a new solver on kept grids shares the compressed shape factor;
-# see ``BsSolver``).  Builders name module-level functions at call time, so a
-# wrapper bound to such a name later sees every call.
+# come after every stage they use.  ``V.shape`` is V but for its gain: a
+# change that moves only the amplitude of a parametric V is ``V.amplitude``,
+# which reaches the readers of ``V`` but not those of ``V.shape`` (a new
+# solver on kept grids shares the compressed shape factor; see ``BsSolver``).
+# Builders name module-level functions at call time, so a wrapper bound to
+# such a name later sees every call.
 STAGES = {
     "grids": (("V.shape", "mu"), (), lambda model, numerics: numerics.build_grids(model)),
     "solver": (("V", "mu"), ("grids",), lambda model, numerics, grids: BsSolver(model, grids)),
     "validation": (
-        ("V", "W", "mu"), ("solver",),
+        ("V", "mu"), ("solver",),
         lambda model, numerics, solver: validate_assumptions(model, numerics, solver),
     ),
-    "tc": (
-        (), ("solver",),
-        lambda model, numerics, solver: solver.solve_beta_c(
-            numerics.beta_bracket, numerics.beta_c_rel_tol
-        ),
-    ),
+    "tc": ((), ("solver", "validation"), _tc),
     "pair_top": (
         (), ("solver", "tc"),
         lambda model, numerics, solver, tc: solver.extract_pair_state(tc, numerics.gap_tol),
@@ -109,8 +110,6 @@ STAGES = {
         ("h_values",), ("gl", "dc"),
         lambda model, numerics, gl, dc: tc_of_h(gl, dc, model.h_values),
     ),
-    # the battery's half-resolution re-solve reads W only through the validation
-    # that ``tc`` already requires of this pipeline
     "checks": (
         ("V", "mu"), ("solver", "tc", "pair_top", "t_profile", "gl"),
         lambda model, numerics, solver, tc, pair_top, t, gl: run_identity_checks(
@@ -251,14 +250,11 @@ class Pipeline:
         """Stage ``name``'s value, built from its uses (see ``STAGES``) on first request.
 
         Each use is requested through its method, so a wrapper on a stage
-        method sees the nested requests.  ``tc`` first requires a passing
-        validation, on every request.  A ``ToolError`` leaves with the name
+        method sees the nested requests.  A ``ToolError`` leaves with the name
         of the innermost stage it passed through as its ``stage``.
         """
         _reads, uses, build = STAGES[name]
         try:
-            if name == "tc":
-                self.require_assumptions()
             if name in self._cache:
                 self.cache_hits += 1
                 return self._cache[name]
@@ -268,13 +264,6 @@ class Pipeline:
             raise
         self._cache[name] = value
         return value
-
-    def require_assumptions(self):
-        report = self.validation()
-        if not report.passed:
-            failed = [i.name for i in report.items if not i.passed]
-            raise AssumptionViolation(f"model validation failed: {', '.join(failed)}")
-        return report
 
     # --- bundling -------------------------------------------------------------
 

@@ -261,12 +261,11 @@ def dense_compress(G, n_s):
     """The range finder on the first ``n_s`` rows of a formed G: Q (zero from row n_s
     on), B = Q^T G and ||G - Q B||_F over all of G."""
     n_r, n_p = G.shape
-    rng = random.Random(0)
     tol = RANGE_RTOL * np.linalg.norm(G)
     k = RANGE_K0
     while k < min(n_s, n_p):
         Q = np.zeros((n_r, k))
-        Q[:n_s], _ = np.linalg.qr(G[:n_s] @ bs._standard_normal(rng, (n_p, k)))
+        Q[:n_s], _ = np.linalg.qr(G[:n_s] @ bs._standard_normal(random.Random(0), (n_p, k)))
         B = Q.T @ G
         residual = float(np.linalg.norm(G - Q @ B))
         if residual <= tol:
@@ -275,11 +274,10 @@ def dense_compress(G, n_s):
     return np.eye(n_r, n_s), G[:n_s], float(np.linalg.norm(G[n_s:]))
 
 
-def streamed_compress(d, e, j0):
-    """``_compress`` drawing its test matrices afresh from one ``random.Random(0)`` stream
-    and summing ||G||_F in a pass of its own, as it did before the draws were cached."""
+def fresh_compress(d, e, j0):
+    """``_compress`` drawing each test matrix from a new ``random.Random(0)`` instead of
+    the cache and summing ||G||_F in a pass of its own."""
     n_r, n_p = j0.shape
-    rng = random.Random(0)
 
     def frobenius(Q=None, B=None):
         total = 0.0
@@ -294,7 +292,8 @@ def streamed_compress(d, e, j0):
     norm = frobenius()
     k = RANGE_K0
     while k < min(n_r, n_p):
-        Q, _ = np.linalg.qr(d[:, None] * (j0 @ (e[:, None] * bs._standard_normal(rng, (n_p, k)))))
+        omega = bs._standard_normal(random.Random(0), (n_p, k))
+        Q, _ = np.linalg.qr(d[:, None] * (j0 @ (e[:, None] * omega)))
         B = (d[:, None] * Q).T @ j0
         B *= e
         residual = frobenius(Q, B)
@@ -400,10 +399,9 @@ class TestCompression:
         assert np.linalg.norm(Q @ B - Q_ref @ B_ref) <= residual + residual_ref + 1e-15 * scale
 
     @pytest.mark.parametrize("n_p", [192, 405])
-    def test_test_matrices_are_the_stream_draws_and_read_only(self, n_p):
-        rng = random.Random(0)
+    def test_test_matrices_are_fresh_draws_and_read_only(self, n_p):
         for k in (RANGE_K0, 2 * RANGE_K0, 4 * RANGE_K0):
-            drawn = bs._standard_normal(rng, (n_p, k))
+            drawn = bs._standard_normal(random.Random(0), (n_p, k))
             cached = bs._test_matrix(n_p, k)
             assert bs._test_matrix(n_p, k) is cached
             assert np.array_equal(cached.view(np.int64), drawn.view(np.int64))
@@ -411,15 +409,15 @@ class TestCompression:
                 cached[0, 0] = 0.0
 
     @pytest.mark.parametrize("mu", [0.5, 2.5])
-    def test_restart_matches_the_streamed_draws_bitwise(self, mu):
-        # an exponential V restarts at 2 RANGE_K0 columns, so the second cached
-        # draw must continue the stream the first one started
+    def test_restart_matches_fresh_draws_bitwise(self, mu):
+        # an exponential V restarts at 2 RANGE_K0 columns, which the cache must
+        # draw as a new random.Random(0) would
         model, num = load_config(CONFIGS / "gaussian.json")
         model = dataclasses.replace(model, V=dataclasses.replace(model.V, family="exponential"), mu=mu)
         grids = num.build_grids(model)
         d, e = bs._shape_columns(model.V, grids), bs._momentum_columns(grids)
         Q, B, residual, norm = bs._compress(d, e, grids.j0)
-        Q_ref, B_ref, residual_ref, norm_ref = streamed_compress(d, e, grids.j0)
+        Q_ref, B_ref, residual_ref, norm_ref = fresh_compress(d, e, grids.j0)
         assert Q.shape[1] == 2 * RANGE_K0
         assert np.array_equal(Q, Q_ref) and np.array_equal(B, B_ref)
         assert residual == residual_ref and norm == norm_ref

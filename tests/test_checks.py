@@ -225,10 +225,10 @@ class TestMinorant:
         cert = res["minorant_certificate"]
         assert cert.passed and 0.0 < cert.measured < 1e-6
 
-    def test_violation_between_fitted_momenta_is_recorded(self, artifacts, pair):
+    def test_minimum_between_fitted_momenta_is_certified(self, artifacts, pair):
         # 5 % of the pair density moved onto the node nearest r = 11.46 puts an
-        # interior minimum into (1 - R)(E0 + p^2)/p^2 near p = 1.27: c > 0 holds at
-        # every fitted momentum, but the ratio dips below it between two of them
+        # interior minimum into (1 - R)(E0 + p^2)/p^2 near p = 1.27; c taken as
+        # the sampled minimum (0.49992) left a midpoint margin of -7.3e-5 there
         grid = pair.phi_star.grid
         i = int(np.argmin(abs(grid.nodes - 11.46)))
         dens = 4.0 * math.pi * grid.weights[i] * grid.nodes[i] ** 2
@@ -239,13 +239,11 @@ class TestMinorant:
         p_fit = minorant_momenta(corrupt)
         p_mid = np.sqrt(p_fit[1:] * p_fit[:-1])
         margin = 1.0 - r_of_p(corrupt, p_mid) - c * p_mid**2 / (e0 + p_mid**2)
-        assert 0.0 < c < 0.5
-        assert np.all(1.0 - r_of_p(corrupt, p_fit) >= c * p_fit**2 / (e0 + p_fit**2) - 1e-14)
-        assert margin.min() < -1e-5 and p_mid[np.argmin(margin)] < p_fit[-1] / 10
+        assert c > 0.0 and margin.min() > 0.0
         top = artifacts["pair_top"][1]
         res = {r.id: r for r in run_identity_checks(**{**artifacts, "pair_top": (corrupt, top)})}
         cert = res["minorant_certificate"]
-        assert not cert.passed and cert.measured == pytest.approx(margin.min(), rel=1e-12)
+        assert cert.passed and cert.measured == pytest.approx(margin.min(), rel=1e-12)
 
     def test_no_positive_minorant_is_recorded(self, artifacts, pair):
         # phi* scaled by 1 + 1e-6 lifts R(p) above 1 at small p, where 1 - R(p)

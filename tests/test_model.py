@@ -25,10 +25,10 @@ from tcshift.model import (
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def make_model(v_amp=2.0, w_family="zero", w_amp=0.0, mu=1.0):
+def make_model(v_amp=2.0, mu=1.0):
     return PhysicalModel(
         V=InteractionPotential(family="gaussian", amplitude=v_amp, range=1.0),
-        W=ExternalField(family=w_family, amplitude=w_amp, range=2.0),
+        W=ExternalField(family="zero", range=2.0),
         mu=mu,
         h_values=(0.01, 0.02),
     )
@@ -257,11 +257,6 @@ class TestValidation:
         m2 = validate(make_model(v_amp=2.0, mu=-1.0))["zero_temperature_coupling"]
         assert 0.0 < m1.measured < 1.0 and not m1.passed
         assert m2.measured == pytest.approx(2.0 * m1.measured, rel=1e-12)
-
-    def test_constant_W_lipschitz_zero(self):
-        rep = validate(make_model(w_family="constant", w_amp=3.0))
-        assert rep["W_bounded_lipschitz"].measured == 0.0
-        assert rep["W_bounded_lipschitz"].passed
 
 
 class TestConfigIO:

@@ -174,7 +174,7 @@ class TestPipeline:
         assert set(pipe._cache) == every
         keeps = {
             "h": every - {"shift"},
-            "w_amplitude": {"grids", "solver", "tc", "pair_top", "t_profile", "gl", "checks"},
+            "w_amplitude": every - {"ground_state", "dc", "shift"},
             "mu": set(),
             "v_amplitude": {"grids"},
         }
@@ -322,6 +322,23 @@ class TestEmit:
         assert (tmp_path / "a/result.json").read_bytes() == (
             tmp_path / "b/result.json"
         ).read_bytes()
+
+    def test_byte_identical_reruns_across_interpreters(self, tmp_path):
+        # each interpreter salts str hashes with its own PYTHONHASHSEED, which
+        # reorders sets of strings; no emitted byte may depend on that order
+        results = []
+        for seed in ("0", "12345"):
+            out = tmp_path / seed
+            proc = subprocess.run(
+                [sys.executable, "-m", "tcshift.cli", "verify",
+                 "--config", str(CONFIGS / "gaussian.json"), "--out", str(out)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            results.append((out / "result.json").read_bytes())
+        assert results[0] == results[1]
 
 
 # the same axes set through the configuration mapping, independent of sweep()
@@ -537,7 +554,7 @@ class TestCli:
         assert code == 3
 
     def test_tc_requires_passing_validation(self, tmp_path):
-        # validation is tc's precondition, not one of its inputs
+        # tc uses validation and refuses a failed report; the error names tc
         cfg = json.loads((CONFIGS / "gaussian.json").read_text())
         cfg["V"]["amplitude"] = 0.0
         cfg_path = write_cfg(tmp_path, cfg)
@@ -711,6 +728,26 @@ class TestCli:
         record = json.loads((out / "error.json").read_text())
         assert record["error"] == "ConfigError" and record["exit_code"] == 2
         assert "r_max" in record["message"]
+
+    @pytest.mark.parametrize(
+        "edit, error, code",
+        [
+            # the momentum measure (2/pi) w p^2 overflows on p_max = 6 sqrt(mu);
+            # numpy's eigensolver raised LinAlgError on the inf
+            (lambda cfg: cfg.update(mu=1e210), "GridError", 8),
+            # the Bargmann integral's range**2 raised OverflowError; the well is
+            # wider than any box, so its state leaks out of the default one
+            (lambda cfg: cfg["W"].update(range=1e300), "DomainTooSmall", 6),
+        ],
+        ids=["mu", "W.range"],
+    )
+    def test_extreme_accepted_input_exits_with_its_code(self, tmp_path, edit, error, code):
+        cfg = json.loads((CONFIGS / "gaussian.json").read_text())
+        edit(cfg)
+        out = tmp_path / "out"
+        assert self.run_cli("shift", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)) == code
+        record = json.loads((out / "error.json").read_text())
+        assert (record["error"], record["exit_code"]) == (error, code)
 
     @pytest.mark.parametrize(
         "path",
