@@ -235,8 +235,7 @@ class BsSolver:
     Q B1 once per shape and grid pair and shared by every solver on that
     pair, whatever its amplitude; this one uses B = sqrt(g) B1, so each beta
     costs a k x k eigenproblem of B diag(chi) B^T, whose eigenvalues are
-    those of the rank-k matrix Q B diag(chi) B^T Q^T.  ``matrix`` keeps the
-    uncompressed definition, rebuilding G from the pair's j0 table.
+    those of the rank-k matrix Q B diag(chi) B^T Q^T.
     """
 
     def __init__(self, model, grids: GridPair):
@@ -247,26 +246,19 @@ class BsSolver:
         self._Q, self._B = shape.Q, gain * shape.B
         self.rank = self._B.shape[0]
         self.residual = gain * shape.residual
-        # Weyl: |lambda_j(matrix) - lambda_j(compressed)| <= ||chi||_inf * _weyl
+        # Weyl: |lambda_j(uncompressed) - lambda_j(compressed)| <= ||chi||_inf * _weyl
         self._weyl = 2.0 * model.V.gain * shape.norm * shape.residual
         self._lambda_cache: dict[float, float] = {}
 
     def _chi(self, beta_or_inf: float) -> np.ndarray:
         return chi_multiplier_values(beta_or_inf, self.model.mu, self.grids.pgrid)
 
-    def matrix(self, beta_or_inf: float) -> np.ndarray:
-        """The uncompressed n_r x n_r matrix G diag(chi) G^T, with G = sqrt(g) G1."""
-        d, e = _shape_columns(self.model.V, self.grids), _momentum_columns(self.grids)
-        G = _g1_rows(d, e, self.grids.j0)
-        G *= math.sqrt(self.model.V.gain)
-        return sandwich(G, self._chi(beta_or_inf))
-
     def reduced(self, beta_or_inf: float) -> np.ndarray:
         """The k x k matrix B diag(chi) B^T that ``lambda_of`` and ``top`` diagonalize."""
         return sandwich(self._B, self._chi(beta_or_inf))
 
     def lambda_bound(self, beta_or_inf: float) -> float:
-        """Bound on |eigvalsh(matrix(beta))[-1] - lambda_of(beta)| from the compression."""
+        """Bound on |lambda_max(G diag(chi) G^T) - lambda_of(beta)| from the compression."""
         return float(np.max(np.abs(self._chi(beta_or_inf)))) * self._weyl
 
     def top(self, beta_or_inf: float) -> SpectralTop:

@@ -246,11 +246,12 @@ def rbound_minorant(pair: PairState) -> tuple[float, float]:
 
 
 def _chi_quadratic_forms(beta, mu, rgrid, pgrid, taus) -> np.ndarray:
-    """radial_inner(tau, apply_kernel(assemble_chi_kernel(beta, mu, pair), tau)) for each tau.
+    """The chi quadratic form <tau, chi tau> on the grid pair (rgrid, pgrid) for each tau.
 
-    With k = j0 diag(c) j0^T on the pair (rgrid, pgrid) and v = w r^2 tau the
-    form is 4 pi sum_a c_a (j0^T v)_a^2; j0^T v is summed over row blocks of
-    the table, which is never held whole.
+    With the s-wave kernel k = j0 diag(c) j0^T, c the weights of
+    ``chi_kernel_weights``, and v = w r^2 tau, the form is
+    4 pi sum_a c_a (j0^T v)_a^2; j0^T v is summed over row blocks of the
+    table, which is never held whole.
     """
     r, w = rgrid.nodes, rgrid.weights
     v = np.stack([w * r * r * tau.values for tau in taus], axis=1)

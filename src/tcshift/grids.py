@@ -29,8 +29,6 @@ __all__ = [
     "build_momentum_grid",
     "ft3_radial",
     "radial_inner",
-    "assemble_chi_kernel",
-    "apply_kernel",
     "row_blocks",
 ]
 
@@ -302,21 +300,3 @@ def chi_kernel_weights(beta_or_inf: float, mu: float, pgrid: RadialGrid) -> np.n
     """(2/pi) w_a p_a^2 chi(p_a^2 - mu): the momentum weights of the position-space chi kernel."""
     p, wp = pgrid.nodes, pgrid.weights
     return (2.0 / math.pi) * wp * p * p * chi_multiplier_values(beta_or_inf, mu, pgrid)
-
-
-def assemble_chi_kernel(beta_or_inf: float, mu: float, grids: GridPair) -> np.ndarray:
-    """Position-space kernel of the thermal multiplier in the s-wave sector.
-
-    k(r, r') = (2/pi) int_0^inf chi(p^2 - mu) j0(p r) j0(p r') p^2 dp, the
-    operator acting as (Af)(r) = int k(r, r') f(r') r'^2 dr'.  Assembled as
-    ``sandwich(j0, (2/pi) w p^2 chi)`` with chi > 0, so the result is exactly
-    symmetric and positive semidefinite up to rounding.
-    """
-    return sandwich(grids.j0, chi_kernel_weights(beta_or_inf, mu, grids.pgrid))
-
-
-def apply_kernel(kernel: np.ndarray, f: RadialFunction) -> RadialFunction:
-    """Apply an s-wave multiplier kernel: (Af)(r_i) = sum_j w_j r_j^2 k_ij f_j."""
-    r, w = f.grid.nodes, f.grid.weights
-    return RadialFunction(grid=f.grid, values=kernel @ (w * r * r * f.values))
-

@@ -1,9 +1,10 @@
 """Closed-form thermal kernels and their truncated frequency-sum counterparts.
 
-All functions are pure, total on finite inputs and vectorize over numpy arrays.
-Near removable singularities they switch to series branches; large arguments
-are routed through rescaled forms that only ever exponentiate non-positive
-numbers, so nothing here overflows.
+All functions are pure and vectorize over numpy arrays.  A kernel is given
+piece by piece, each formula run only on its own piece (``_piecewise``): series
+near removable singularities, rescaled forms and tails where an intermediate
+would overflow or underflow.  So the g kernels are finite and warning-free on
+every finite argument, and chi and xi wherever beta E, beta E' and E + E' are.
 """
 
 from __future__ import annotations
@@ -30,11 +31,35 @@ __all__ = [
 
 # Naive-denominator threshold below which series branches take over.
 SMALL = 1e-4
+# g1 = z/12 to every digit below _TINY, where the cube in its series underflows
+# (from 2.8e-103), and 1/z^2 above _SQRT_MAX, the largest a with a * a finite.
+_TINY = 1e-100
+_SQRT_MAX = 1.3407807929942596e154
 
 # tanh(w)/w = 1 - w^2/3 + 2 w^4/15 - ... (six terms, |w| < 1 plenty)
 _TANHC = (1.0, -1.0 / 3.0, 2.0 / 15.0, -17.0 / 315.0, 62.0 / 2835.0, -1382.0 / 155925.0)
 # sinh(w)/w = 1 + w^2/6 + w^4/120 + ...
 _SINHC = (1.0, 1.0 / 6.0, 1.0 / 120.0, 1.0 / 5040.0, 1.0 / 362880.0, 1.0 / 39916800.0)
+
+
+def _piecewise(args, *pieces):
+    """Evaluate a function defined piece by piece on the broadcast arrays ``args``.
+
+    Each piece is a pair ``(mask, f)``; ``f(*args)`` runs on exactly the entries
+    that its mask takes and no earlier mask took, and the last mask is True.
+    A 0-d result is returned as a float.
+    """
+    args = np.broadcast_arrays(*args)
+    if args[0].ndim == 0:
+        return float(next(f for mask, f in pieces if mask)(*args))
+    out = np.empty(args[0].shape)
+    rest = np.ones(out.shape, dtype=bool)
+    for mask, f in pieces:
+        take = rest & mask
+        if take.any():
+            out[take] = f(*(x[take] for x in args))
+            rest &= ~take
+    return out
 
 
 def _poly_even(coeffs, z):
@@ -56,12 +81,11 @@ def _sech(x):
 def g0(z):
     """tanh(z/2)/z, continued through z=0 by its value 1/2. Even."""
     z = np.asarray(z, dtype=float)
-    small = np.abs(z) < SMALL
-    zs = np.where(small, 1.0, z)
-    direct = np.tanh(0.5 * zs) / zs
-    series = 0.5 * _poly_even(_TANHC, 0.5 * z)
-    out = np.where(small, series, direct)
-    return out if out.ndim else float(out)
+    return _piecewise(
+        (z,),
+        (np.abs(z) < SMALL, lambda z: 0.5 * _poly_even(_TANHC, 0.5 * z)),
+        (True, lambda z: np.tanh(0.5 * z) / z),
+    )
 
 
 def _sinh_minus_z(z):
@@ -75,23 +99,23 @@ def _sinh_minus_z(z):
     return acc
 
 
+def _g1_rescaled(a):
+    """g1 at a >= 1, exactly e^{-a}-rescaled: (1 - e^{-2a} - 2a e^{-a}) / (a^2 (1+e^{-a})^2)."""
+    e = np.exp(-a)
+    return (-np.expm1(-2.0 * a) - 2.0 * a * e) / (a * a * (1.0 + e) ** 2)
+
+
 def g1_sinh_form(z):
     """(1/(2 z^2)) (sinh z - z) / cosh^2(z/2), stable on all of R. Odd."""
     z = np.asarray(z, dtype=float)
     a = np.abs(z)
-    sgn = np.sign(z)
-    out = np.empty_like(a)
-
-    lo = a < 1.0
-    al = np.where(lo & (a > 0.0), a, 1.0)
-    out_lo = _sinh_minus_z(al) / (2.0 * al * al * np.cosh(0.5 * al) ** 2)
-    # exact e^{-a}-rescale: (1 - e^{-2a} - 2a e^{-a}) / (a^2 (1+e^{-a})^2)
-    ah = np.where(lo, 1.0, a)
-    e = np.exp(-ah)
-    out_hi = (-np.expm1(-2.0 * ah) - 2.0 * ah * e) / (ah * ah * (1.0 + e) ** 2)
-    out = np.where(lo, out_lo, out_hi)
-    out = np.where(a == 0.0, 0.0, sgn * out)
-    return out if out.ndim else float(out)
+    return _piecewise(
+        (np.sign(z), a),
+        (a < _TINY, lambda s, a: s * (a / 12.0)),
+        (a < 1.0, lambda s, a: s * (_sinh_minus_z(a) / (2.0 * a * a * np.cosh(0.5 * a) ** 2))),
+        (a > _SQRT_MAX, lambda s, a: s * (1.0 / a / a)),
+        (True, lambda s, a: s * _g1_rescaled(a)),
+    )
 
 
 def _g1_exp_numerator_series(z):
@@ -109,35 +133,20 @@ def _g1_exp_numerator_series(z):
 def g1_exp_form(z):
     """(e^{2z} - 2z e^z - 1) / (z^2 (e^z + 1)^2), evaluated as printed.
 
-    Independent of :func:`g1_sinh_form` wherever a direct evaluation is
-    representable; the two agree to rounding because they are the same
-    function.
+    Independent of :func:`g1_sinh_form` wherever the printed form is
+    representable, and equal to it elsewhere: the two agree to rounding
+    because they are the same function.
     """
     z = np.asarray(z, dtype=float)
     a = np.abs(z)
-    out = np.empty_like(a)
-
-    small = a < 0.5
-    zs = np.where(small, 0.0, z)
-    big = zs > 300.0
-    zb = np.where(big | small, 1.0, z)
-
-    # direct region (|z| >= 0.5, z <= 300): no overflow, no cancellation
-    direct = (np.exp(2.0 * zb) - 2.0 * zb * np.exp(zb) - 1.0) / (
-        zb * zb * (np.exp(zb) + 1.0) ** 2
+    return _piecewise(
+        (z,),
+        # the tails, and z > 300 where the sinh form scales this expression through by e^{-2z}
+        ((a < _TINY) | (a > _SQRT_MAX) | (z > 300.0), g1_sinh_form),
+        (a < 0.5, lambda z: _g1_exp_numerator_series(z) / (z * z * (np.exp(z) + 1.0) ** 2)),
+        # |z| >= 0.5, z <= 300: no overflow, no cancellation
+        (True, lambda z: (np.exp(2.0 * z) - 2.0 * z * np.exp(z) - 1.0) / (z * z * (np.exp(z) + 1.0) ** 2)),
     )
-    # z > 300: same expression scaled through by e^{-2z}
-    zl = np.where(big, zs, 1.0)
-    el = np.exp(-zl)
-    scaled = (-np.expm1(-2.0 * zl) - 2.0 * zl * el) / (zl * zl * (1.0 + el) ** 2)
-    out = np.where(big, scaled, direct)
-
-    # |z| < 0.5: series numerator over the directly-evaluated denominator
-    zss = np.where(small, z, 1.0)
-    num = _g1_exp_numerator_series(zss)
-    den = zss * zss * (np.exp(zss) + 1.0) ** 2
-    out = np.where(small, np.where(zss == 0.0, 0.0, num / np.where(zss == 0.0, 1.0, den)), out)
-    return out if out.ndim else float(out)
 
 
 g1 = g1_sinh_form
@@ -146,29 +155,30 @@ g1 = g1_sinh_form
 def g2_tanh_form(z):
     """(1/(2z)) tanh(z/2) / cosh^2(z/2), continued through z=0 by 1/4. Even."""
     z = np.asarray(z, dtype=float)
-    small = np.abs(z) < SMALL
-    zs = np.where(small, 1.0, z)
-    direct = np.tanh(0.5 * zs) * _sech(0.5 * zs) ** 2 / (2.0 * zs)
-    series = 0.25 * _poly_even(_TANHC, 0.5 * z) * _sech(0.5 * z) ** 2
-    out = np.where(small, series, direct)
-    return out if out.ndim else float(out)
+    return _piecewise(
+        (z,),
+        (np.abs(z) < SMALL, lambda z: 0.25 * _poly_even(_TANHC, 0.5 * z) * _sech(0.5 * z) ** 2),
+        # sech^2(z/2) is 0.0 from |z| of about 1490 on, and 2z overflows from 9e307
+        (np.abs(z) > 1500.0, np.zeros_like),
+        (True, lambda z: np.tanh(0.5 * z) * _sech(0.5 * z) ** 2 / (2.0 * z)),
+    )
+
+
+def _g2_rescaled(z):
+    """g2_exp_form at z > 200, scaled through by e^{-2z}."""
+    e = np.exp(-z)
+    return 2.0 * (e - e * e) / (z * (1.0 + e) ** 3)
 
 
 def g2_exp_form(z):
-    """2 e^z (e^z - 1) / (z (e^z + 1)^3), evaluated as printed."""
+    """2 e^z (e^z - 1) / (z (e^z + 1)^3), evaluated as printed; the tanh form's series near 0."""
     z = np.asarray(z, dtype=float)
-    small = np.abs(z) < SMALL
-    big = z > 200.0
-    mid = ~small & ~big
-    zm = np.where(mid, z, 1.0)
-    direct = 2.0 * np.exp(zm) * np.expm1(zm) / (zm * (np.exp(zm) + 1.0) ** 3)
-    zb = np.where(big, z, 1.0)
-    eb = np.exp(-zb)
-    scaled = 2.0 * (eb - eb * eb) / (zb * (1.0 + eb) ** 3)
-    # series for the removable point: tanh expansion of the equivalent form
-    series = 0.25 * _poly_even(_TANHC, 0.5 * z) * _sech(0.5 * z) ** 2
-    out = np.where(small, series, np.where(big, scaled, direct))
-    return out if out.ndim else float(out)
+    return _piecewise(
+        (z,),
+        (np.abs(z) < SMALL, g2_tanh_form),
+        (z > 200.0, _g2_rescaled),
+        (True, lambda z: 2.0 * np.exp(z) * np.expm1(z) / (z * (np.exp(z) + 1.0) ** 3)),
+    )
 
 
 g2 = g2_tanh_form
@@ -183,11 +193,11 @@ def chi(beta, E):
 
 def _sinhc(w):
     """sinh(w)/w, 1 at w=0."""
-    small = np.abs(w) < SMALL
-    ws = np.where(small, 1.0, w)
-    direct = np.sinh(np.clip(ws, -700.0, 700.0)) / ws
-    series = _poly_even(_SINHC, w)
-    return np.where(small, series, direct)
+    return _piecewise(
+        (w,),
+        (np.abs(w) < SMALL, lambda w: _poly_even(_SINHC, w)),
+        (True, lambda w: np.sinh(w) / w),
+    )
 
 
 def xi(beta, E, Ep):
@@ -207,22 +217,14 @@ def xi(beta, E, Ep):
     scale = np.maximum(1.0, np.maximum(np.abs(u), np.abs(v)))
     near = np.abs(w) < SMALL * scale
 
-    s = np.where(near, 1.0, E + Ep)
-    naive = (np.tanh(u) + np.tanh(v)) / s
-
     # the u and v factors are multiplied first so that xi(E, E') == xi(E', E) exactly
-    wn = np.where(near & (np.abs(w) <= 30.0), w, 0.0)
-    limit = 0.5 * beta * _sinhc(wn) * (_sech(u) * _sech(v))
-    # |w| > 30 on the near-diagonal branch: exponentiate non-positive args only
-    wb = np.where(near & (np.abs(w) > 30.0), w, 1.0)
-    t = np.abs(u) + np.abs(v)
-    eu = np.exp(-2.0 * np.abs(u))
-    ev = np.exp(-2.0 * np.abs(v))
-    big = beta * (np.exp(wb - t) - np.exp(-wb - t)) / (wb * ((1.0 + eu) * (1.0 + ev)))
-    limit = np.where(near & (np.abs(w) > 30.0), big, limit)
-
-    out = np.where(near, limit, naive)
-    return out if out.ndim else float(out)
+    return _piecewise(
+        (u, v, w, E + Ep),
+        # near with |w| > 30 takes |u|, |v| > 2.9e5 of opposite signs: xi underflows to 0
+        (near & (np.abs(w) > 30.0), lambda u, v, w, s: np.zeros_like(w)),
+        (near, lambda u, v, w, s: 0.5 * beta * _sinhc(w) * (_sech(u) * _sech(v))),
+        (True, lambda u, v, w, s: (np.tanh(u) + np.tanh(v)) / s),
+    )
 
 
 def L_pq(beta, mu, p, q):
@@ -237,10 +239,8 @@ def hessian_L_closed(beta, mu, k):
 
     Closed form: -(3 beta^2 / 2) (g1(beta(k^2-mu)) + (2/3) beta k^2 g2(beta(k^2-mu))).
     """
-    k = np.asarray(k, dtype=float)
     z = beta * (k * k - mu)
-    out = -1.5 * beta * beta * (g1(z) + (2.0 / 3.0) * beta * k * k * g2(z))
-    return out if out.ndim else float(out)
+    return -1.5 * beta * beta * (g1(z) + (2.0 / 3.0) * beta * k * k * g2(z))
 
 
 def matsubara_tanh(x: float, n_max: int) -> float:

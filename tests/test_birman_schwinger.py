@@ -15,8 +15,6 @@ from tcshift.grids import (
     GridPair,
     RadialFunction,
     RadialGrid,
-    apply_kernel,
-    assemble_chi_kernel,
     radial_inner,
     row_blocks,
 )
@@ -30,6 +28,7 @@ from tcshift.model import (
 from tcshift.pipeline import Pipeline
 
 from conftest import default_model
+from dense_reference import apply_kernel, assemble_chi_kernel, bs_matrix
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -57,29 +56,29 @@ class TestAssemble:
             W=ExternalField(family="zero"),
             mu=1.0,
         )
-        M = BsSolver(m, grids).matrix(2.0)
+        M = bs_matrix(BsSolver(m, grids), 2.0)
         assert np.all(M == 0.0)
 
     def test_amplitude_scaling_exact_at_matrix_level(self, grids, solver):
         # x4 amplitude scales sqrt(V) by exactly 2, every entry by exactly 4
-        M1 = solver.matrix(2.0)
-        M4 = BsSolver(scaled_model(4.0), grids).matrix(2.0)
+        M1 = bs_matrix(solver, 2.0)
+        M4 = bs_matrix(BsSolver(scaled_model(4.0), grids), 2.0)
         assert np.array_equal(M4, 4.0 * M1)
 
     def test_matrix_symmetric(self, solver):
-        M = solver.matrix(3.0)
+        M = bs_matrix(solver, 3.0)
         assert np.array_equal(M, M.T)
 
     @pytest.mark.parametrize("beta", [0.5, 3.0, 50.0])
     def test_reduced_is_the_matrix_projected_on_the_range(self, solver, beta):
         # Q^T G = B, so Q^T M Q = B diag(chi) B^T up to rounding
-        M, R = solver.matrix(beta), solver.reduced(beta)
+        M, R = bs_matrix(solver, beta), solver.reduced(beta)
         assert np.array_equal(R, R.T)
         assert np.max(np.abs(solver._Q.T @ M @ solver._Q - R)) <= 1e-12 * np.max(np.abs(M))
         assert solver.lambda_of(beta) == float(np.linalg.eigvalsh(R)[-1])
 
     def test_matrix_psd(self, solver):
-        vals = np.linalg.eigvalsh(solver.matrix(1.0))
+        vals = np.linalg.eigvalsh(bs_matrix(solver, 1.0))
         assert vals.min() > -1e-12 * vals.max()
 
 
@@ -98,7 +97,7 @@ class TestTopEigenvalues:
         one_node = RadialGrid(nodes=np.array([0.5]), weights=np.array([1.0]), r_max=1.0)
         s = BsSolver(model, GridPair(grids.rgrid, one_node))
         top = s.top(1.0)
-        assert top.lambda1 == pytest.approx(float(np.trace(s.matrix(1.0))), rel=1e-12)
+        assert top.lambda1 == pytest.approx(float(np.trace(bs_matrix(s, 1.0))), rel=1e-12)
         assert abs(top.lambda2) < 1e-12 * top.lambda1
 
     def test_eigenvector_normalized_and_sign_fixed(self, solver):
@@ -304,7 +303,7 @@ def fresh_compress(d, e, j0):
 
 
 def dense_lambda(solver, beta):
-    return float(np.linalg.eigvalsh(solver.matrix(beta))[-1])
+    return float(np.linalg.eigvalsh(bs_matrix(solver, beta))[-1])
 
 
 def formed_factor(solver):
@@ -352,7 +351,7 @@ class TestCompression:
         s = BsSolver(model, num.build_grids(model))
         rg = s.grids.rgrid
         top = s.top(5.0)
-        vals, vecs = np.linalg.eigh(s.matrix(5.0))
+        vals, vecs = np.linalg.eigh(bs_matrix(s, 5.0))
         phi = vecs[:, -1] / (rg.nodes * np.sqrt(4.0 * math.pi * rg.weights))
         phi *= np.sign(np.sum(rg.weights * rg.nodes**2 * phi))
         phi /= math.sqrt(radial_inner(RadialFunction(rg, phi), RadialFunction(rg, phi)))

@@ -23,13 +23,13 @@ from tcshift.gl import compute_lambdas, compute_t, r_of_p
 from tcshift.grids import (
     GridPair,
     RadialFunction,
-    apply_kernel,
-    assemble_chi_kernel,
     build_momentum_grid,
     radial_inner,
 )
 from tcshift.model import InteractionPotential, load_config
 from tcshift.pipeline import Pipeline
+
+from dense_reference import apply_kernel, assemble_chi_kernel
 
 
 @pytest.fixture(scope="module")

@@ -21,8 +21,6 @@ from tcshift.gl import (
 )
 from tcshift.grids import (
     RadialFunction,
-    apply_kernel,
-    assemble_chi_kernel,
     ft3_radial,
     radial_inner,
     spherical_j0,
@@ -30,6 +28,8 @@ from tcshift.grids import (
 from tcshift.kernels import chi, hessian_L_closed
 from tcshift.model import InteractionPotential, Numerics
 from tcshift.pipeline import Pipeline
+
+from dense_reference import apply_kernel, assemble_chi_kernel
 
 
 @pytest.fixture(scope="module")

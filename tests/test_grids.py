@@ -20,8 +20,6 @@ from tcshift.grids import (
     GridPair,
     RadialFunction,
     RadialGrid,
-    apply_kernel,
-    assemble_chi_kernel,
     build_momentum_grid,
     build_radial_grid,
     composite_gauss_legendre,
@@ -32,6 +30,8 @@ from tcshift.grids import (
 )
 from tcshift.kernels import chi
 from tcshift.model import load_config
+
+from dense_reference import apply_kernel, assemble_chi_kernel
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 

@@ -6,6 +6,7 @@ references, and finite-difference oracles.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tcshift import kernels
 from tcshift.kernels import (
+    SMALL,
     L_pq,
     chi,
     g0,
@@ -35,11 +38,20 @@ SAMPLE_Z = [1e-8, 1e-4, 0.1, 1.0, 10.0, 50.0]
 SAMPLE_Z = SAMPLE_Z + [-z for z in SAMPLE_Z]
 
 
+def mp_g0(z):
+    z = mp.mpf(z)
+    if z == 0:
+        return mp.mpf("0.5")
+    return mp.tanh(z / 2) / z
+
+
 def mp_g1(z):
     z = mp.mpf(z)
     if z == 0:
         return mp.mpf(0)
-    return (mp.sinh(z) - z) / (2 * z**2 * mp.cosh(z / 2) ** 2)
+    # sinh z - z cancels to z^3/6: carry the digits it loses
+    with mp.workdps(mp.mp.dps + max(0, int(-2 * mp.log10(abs(z))))):
+        return (mp.sinh(z) - z) / (2 * z**2 * mp.cosh(z / 2) ** 2)
 
 
 def mp_g2(z):
@@ -47,6 +59,112 @@ def mp_g2(z):
     if z == 0:
         return mp.mpf("0.25")
     return mp.tanh(z / 2) / (2 * z * mp.cosh(z / 2) ** 2)
+
+
+def around(x):
+    """x and its two neighbouring doubles."""
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+# every branch boundary of the g kernels (1500: g2's tail; the two g1 tails)
+BOUNDARIES = [SMALL, 0.5, 1.0, 200.0, 300.0, 1500.0, kernels._TINY, kernels._SQRT_MAX]
+EDGE_Z = [0.0, 5e-324, 1e-300, 1e-8, 1e30, 1e154, 1e300] + [z for b in BOUNDARIES for z in around(b)]
+EDGE_Z = np.array(EDGE_Z + [-z for z in EDGE_Z])
+# (kernel, reference, rel tolerance), the tolerances of the tests below
+G_KERNELS = [
+    (g0, mp_g0, 1e-14),
+    (g1_sinh_form, mp_g1, 1e-13),
+    (g1_exp_form, mp_g1, 5e-12),
+    (g2_tanh_form, mp_g2, 1e-13),
+    (g2_exp_form, mp_g2, 5e-12),
+]
+
+
+def no_warning(f, *args):
+    """f(*args) with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return f(*args)
+
+
+class TestBranchEdges:
+    """Each formula runs only on its own piece, so no piece overflows another's entries."""
+
+    def test_each_formula_sees_only_its_own_entries(self):
+        seen = []
+
+        def record(tag):
+            def f(x, y):
+                seen.append((tag, x.tolist(), y.tolist()))
+                return x + y
+
+            return f
+
+        x = np.array([[-2.0, -0.5, 0.5, 2.0]])
+        y = np.array([[10.0], [20.0]])
+        out = kernels._piecewise(
+            (x, y),
+            (x < 0.0, record("negative")),
+            (np.abs(x) < 1.0, record("small")),
+            (x > 5.0, record("none")),
+            (True, record("rest")),
+        )
+        np.testing.assert_array_equal(out, x + y)
+        assert seen == [
+            ("negative", [-2.0, -0.5, -2.0, -0.5], [10.0, 10.0, 20.0, 20.0]),
+            ("small", [0.5, 0.5], [10.0, 20.0]),
+            ("rest", [2.0, 2.0], [10.0, 20.0]),
+        ]
+        # a 0-d argument takes the first piece whose mask holds and gives a float
+        x0 = np.asarray(-0.5)
+        value = kernels._piecewise((x0,), (x0 > 0.0, None), (x0 < 0.0, lambda x: 2.0 * x), (True, None))
+        assert type(value) is float and value == -1.0
+
+    @pytest.mark.parametrize("f", [g for g, _, _ in G_KERNELS], ids=[g.__name__ for g, _, _ in G_KERNELS])
+    def test_finite_without_warning(self, f):
+        wide = np.append(EDGE_Z, [np.finfo(float).max, -np.finfo(float).max])
+        assert np.all(np.isfinite(no_warning(f, wide)))
+        assert all(math.isfinite(no_warning(f, z)) for z in wide)
+
+    def test_chi_and_xi_finite_without_warning(self):
+        for beta in (1.0, 1e6):
+            assert np.all(np.isfinite(no_warning(chi, beta, EDGE_Z)))
+            values = no_warning(xi, beta, EDGE_Z[:, None], EDGE_Z[None, :])
+            assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+            assert all(math.isfinite(no_warning(xi, beta, E, -E)) for E in EDGE_Z)
+
+    @pytest.mark.parametrize("f, ref, rel", G_KERNELS, ids=[g.__name__ for g, _, _ in G_KERNELS])
+    def test_both_sides_of_each_boundary_match_mpmath(self, f, ref, rel):
+        for z in [s * z for b in BOUNDARIES for z in around(b) for s in (1.0, -1.0)]:
+            assert f(z) == pytest.approx(float(ref(z)), rel=rel, abs=1e-300), z
+
+    @pytest.mark.parametrize(
+        "beta, E, w",
+        [
+            (2.0, 1.0, SMALL),  # near-diagonal test at scale 1
+            (2.0, 5.0, SMALL * 5.0),  # ... and at scale 5
+            (1e6, 1.0, 30.0),  # the near-diagonal tail
+        ],
+    )
+    def test_xi_both_sides_of_each_boundary_match_mpmath(self, beta, E, w):
+        for wt in (w * (1.0 - 1e-9), w * (1.0 + 1e-9), -w * (1.0 - 1e-9), -w * (1.0 + 1e-9)):
+            Ep = -E + 2.0 * wt / beta
+            u, v = mp.mpf(beta) * E / 2, mp.mpf(beta) * Ep / 2
+            # tanh u + tanh v = sinh(u+v) / (cosh u cosh v), without the cancellation
+            ref = mp.sinh(u + v) / (mp.cosh(u) * mp.cosh(v)) / (mp.mpf(E) + mp.mpf(Ep))
+            assert xi(beta, E, Ep) == pytest.approx(float(ref), rel=1e-12), wt
+            assert xi(beta, np.array([E]), np.array([Ep]))[0] == xi(beta, E, Ep)
+
+    @pytest.mark.parametrize("f", [g0, g2_tanh_form])
+    def test_series_runs_only_on_small_entries(self, f, monkeypatch):
+        def refuse(coeffs, z):
+            raise AssertionError("series evaluated off its piece")
+
+        z = np.array([-1e204, -3.0, -SMALL, 2e-4, 0.7, 40.0, 1e30])
+        expected = f(z)
+        monkeypatch.setattr(kernels, "_poly_even", refuse)
+        np.testing.assert_array_equal(f(z), expected)
+        assert f(0.7) == expected[4]
 
 
 class TestG0:

@@ -730,22 +730,27 @@ class TestCli:
         assert "r_max" in record["message"]
 
     @pytest.mark.parametrize(
-        "edit, error, code",
+        "verb, edit, error, code",
         [
             # the momentum measure (2/pi) w p^2 overflows on p_max = 6 sqrt(mu);
             # numpy's eigensolver raised LinAlgError on the inf
-            (lambda cfg: cfg.update(mu=1e210), "GridError", 8),
+            ("shift", lambda cfg: cfg.update(mu=1e210), "GridError", 8),
             # the Bargmann integral's range**2 raised OverflowError; the well is
             # wider than any box, so its state leaks out of the default one
-            (lambda cfg: cfg["W"].update(range=1e300), "DomainTooSmall", 6),
+            ("shift", lambda cfg: cfg["W"].update(range=1e300), "DomainTooSmall", 6),
+            # chi's small-argument series, evaluated on every momentum and then
+            # discarded, overflowed from |z| = 1e30 on: a RuntimeWarning, an
+            # error under this suite's filter
+            ("tc", lambda cfg: cfg.update(mu=1e30), "NoBracket", 4),
+            ("tc", lambda cfg: cfg.update(mu=1e204), "NoBracket", 4),
         ],
-        ids=["mu", "W.range"],
+        ids=["mu", "W.range", "tc-mu-1e30", "tc-mu-1e204"],
     )
-    def test_extreme_accepted_input_exits_with_its_code(self, tmp_path, edit, error, code):
+    def test_extreme_accepted_input_exits_with_its_code(self, tmp_path, verb, edit, error, code):
         cfg = json.loads((CONFIGS / "gaussian.json").read_text())
         edit(cfg)
         out = tmp_path / "out"
-        assert self.run_cli("shift", "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)) == code
+        assert self.run_cli(verb, "--config", str(write_cfg(tmp_path, cfg)), "--out", str(out)) == code
         record = json.loads((out / "error.json").read_text())
         assert (record["error"], record["exit_code"]) == (error, code)
 
